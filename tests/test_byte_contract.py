@@ -1,0 +1,104 @@
+"""Byte contract: SHA-256 digests of sampler CSVs and CLI JSON outputs.
+
+The digests were recorded before the case dispatch was reorganized; a
+refactor that changes any of these bytes changes the program's output and
+must say so (and re-pin them) rather than pass silently.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from qfields import params
+from qfields.cli import run
+from qfields.measure import RadialLaw
+from qfields.simulate import SamplerConfig, make_sampler, sample_ensemble, write_csv
+
+RADIAL = RadialLaw(values=(2 ** 0.5, 0.0), probs=(0.5, 0.5))  # zero atom
+RADIAL_ARG = "1.4142135623730951:0.5,0:0.5"
+
+CSV_DIGESTS = {
+    "gaussian": "8d89c05676b68e487222229ce3b533f41c4d905cdc9fa0facc18ce0c2adf7598",
+    "twopoint": "dee7cadb88ef5cb0eb14365a754a97621926d81cea295be06c2a66143a1c0c46",
+    "scaled": "a753717bba84a4b92a14250c24454e881ada7ba13379713a828a87bb6e55aff1",
+    (0.5, 0.0): "9b14f22d5a43eaf8c54b7585075ca106d68641a33de0aba984371ec637572b9d",
+    (0.5, 0.5): "912962f4ff925207b33efc57edc31b2f50607879832dcdc028e00c54592318c0",
+    (-0.3, -0.5): "00f731002aeccd4940d9ef532eff9b9a4c98f8b32010882aacde9c6ac4494969",
+}
+
+KERNEL_CHECK_DIGESTS = {
+    (0.5, 0.5): "011c4dec9d51c35cca856af5a9870770dbcbe9f8472ade829a1c056d53cb3f6f",
+    (-0.8, -0.9): "16f177efbd35f6c322fcf5f3fda28cdcb53b3a7ef648c617ac15be3c9ebbc5ef",
+    (0.95, 0.9): "f36013c7755e6688e218d35094c0978f06a9b923b2ad45a7f245d82101c9239b",
+    (0.5, 1.0): "b3f33fec691542e142e67a20f5c33c98160892454489817d050384ddfa3358f6",
+}
+
+CLASSIFY_DIGESTS = {
+    "gaussian": "a0c63e752fa16bc2903ccd37ff16e64670297976728ff0350ce0940d5942daae",
+    "twopoint": "52b7370e6b746f5439489bb5498001c1ce009a3af55ac38188d44db424e1c298",
+    "scaled": "3b92e72e7479908fa14e2debeaf3b42aa092504f5dd3ca181a1749404e257eaf",
+}
+
+CASE_PARAMS = {
+    "gaussian": params.params_from_rho_q(0.5, 1.0),
+    "twopoint": params.params_from_rho_b(0.5, 0.0),
+    "scaled": params.FieldParams(0.5, 0.5, 0.0, 0.0, 0.0),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cli_stdout(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run(argv)
+    return rc, out.getvalue()
+
+
+def _case_setup(case):
+    if isinstance(case, tuple):
+        rho, q = case
+        return params.params_from_rho_q(rho, q), SamplerConfig(rho=rho, q=q)
+    radial = RADIAL if case == "scaled" else None
+    return CASE_PARAMS[case], SamplerConfig(rho=0.5, radial=radial)
+
+
+@pytest.mark.parametrize("case", list(CSV_DIGESTS))
+def test_write_csv_bytes(case):
+    fp, cfg = _case_setup(case)
+    sampler = make_sampler(params.classify(fp), cfg)
+    buf = io.StringIO()
+    write_csv(sample_ensemble(sampler, 16, 400, 7), buf)
+    assert _sha(buf.getvalue()) == CSV_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", ["gaussian", "twopoint", "scaled"])
+def test_cli_case_sample_bytes(case, tmp_path):
+    out = tmp_path / "chains.csv"
+    argv = ["sample", "--rho", "0.5", "--case", case, "--chains", "16",
+            "--steps", "400", "--seed", "7", "--out", str(out)]
+    if case == "scaled":
+        argv += ["--radial", RADIAL_ARG]
+    assert _cli_stdout(argv)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[case]
+
+
+@pytest.mark.parametrize("rho,q", list(KERNEL_CHECK_DIGESTS))
+def test_kernel_check_json_bytes(rho, q):
+    rc, text = _cli_stdout(["kernel-check", "--rho", repr(rho), "--q", repr(q), "--json"])
+    assert rc == 0
+    assert _sha(text) == KERNEL_CHECK_DIGESTS[(rho, q)]
+
+
+@pytest.mark.parametrize("case", list(CLASSIFY_DIGESTS))
+def test_classify_json_bytes(case):
+    fp = CASE_PARAMS[case]
+    rc, text = _cli_stdout(["classify", "--rho", repr(fp.rho), "--A", repr(fp.A),
+                            "--B", repr(fp.B), "--C", repr(fp.C), "--D", repr(fp.D),
+                            "--json"])
+    assert rc == 0
+    assert _sha(text) == CLASSIFY_DIGESTS[case]
