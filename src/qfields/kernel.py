@@ -24,8 +24,8 @@ import numpy as np
 from . import qpoly
 from .measure import QGaussian, RadialLaw, StdGaussian, MeasureSpec, ScaledTwoPoint, \
     TwoPointSym, density, theta_to_x, theta_weight
-from .params import FieldParams, regression_coeffs
-from .quadrature import gl_nodes, integrate_gaussian
+from .params import FieldParams, _check_rho, regression_coeffs
+from .quadrature import gh_nodes, gl_nodes, integrate_gaussian
 
 __all__ = [
     "TransitionKernel",
@@ -70,11 +70,27 @@ class ClampStats:
 
 
 class TransitionKernel:
+    """Base of the one-step kernels, one class per existing case.
+
+    Each case carries its stationary ``law``, the ``eigen_q`` of the monic
+    q-Hermite family it maps Q_n -> rho^n Q_n, and ``expect``.  Construction
+    requires 0 < |rho| < 1.
+    """
+
     __slots__ = ()
+
+    def __post_init__(self):
+        _check_rho(self.rho)
 
     @property
     def name(self) -> str:
         return type(self).__name__
+
+    def expect(self, y: float, g) -> np.ndarray:
+        """Integrals of the rows of g(x), shape (m, len(x)), against f(x | y),
+        over the nodes and weights of f(. | y) that ``_rule(y)`` returns."""
+        x, p = self._rule(y)
+        return np.array([p @ row for row in g(x)])
 
 
 @dataclass(frozen=True)
@@ -87,21 +103,66 @@ class MehlerQ(TransitionKernel):
     tail_estimate: float
     clamp_stats: ClampStats = field(compare=False, repr=False, default_factory=ClampStats)
 
+    @property
+    def law(self) -> QGaussian:
+        return QGaussian(self.q)
+
+    @property
+    def eigen_q(self) -> float:
+        return self.q
+
+    def expect(self, y: float, g) -> np.ndarray:
+        ky = _mehler_coeffs(self) * qpoly.qhermite_all(y, self.q, self.truncation)
+        return _ladder(self, lambda x, wq, tab: g(x) @ (wq * (ky @ tab)))
+
 
 @dataclass(frozen=True)
 class GaussianAR1(TransitionKernel):
     rho: float
 
+    law = StdGaussian()
+    eigen_q = 1.0
+
+    def _rule(self, y: float) -> tuple[np.ndarray, np.ndarray]:
+        return gh_nodes(mean=self.rho * y, sd=math.sqrt(1.0 - self.rho * self.rho), n=96)
+
+
+class _SignChain(TransitionKernel):
+    """X = R*Y with the radius R kept and the sign Y kept with probability
+    (1 + rho)/2; the one-step law from y is atomic."""
+
+    __slots__ = ()
+    eigen_q = -1.0
+
+    def _rule(self, y: float) -> tuple[np.ndarray, np.ndarray]:
+        r = abs(y)
+        if r == 0.0:
+            return np.array([0.0]), np.array([1.0])
+        s = math.copysign(1.0, y)
+        return np.array([s * r, -s * r]), np.array([(1.0 + self.rho) / 2.0, (1.0 - self.rho) / 2.0])
+
 
 @dataclass(frozen=True)
-class TwoPointChain(TransitionKernel):
+class TwoPointChain(_SignChain):
     rho: float
 
+    law = TwoPointSym()
+    radial = RadialLaw(values=(1.0,), probs=(1.0,))
+
+    def _rule(self, y: float) -> tuple[np.ndarray, np.ndarray]:
+        if y not in (-1.0, 1.0):
+            raise ValueError("two-point chain states are +/-1")
+        return super()._rule(y)
+
 
 @dataclass(frozen=True)
-class ScaledTwoPointChain(TransitionKernel):
+class ScaledTwoPointChain(_SignChain):
     rho: float
     radial: RadialLaw
+
+    @property
+    def law(self) -> ScaledTwoPoint:
+        return ScaledTwoPoint(self.radial)
 
 
 _Q_WARN = 0.995
@@ -117,8 +178,7 @@ def mehler_kernel(rho: float, q: float, tol: float = 1e-9, tol_neg: float = 1e-9
     evaluation clamps negatives against a tighter local envelope instead
     (see transition_density).
     """
-    if not 0.0 < abs(rho) < 1.0:
-        raise ValueError("rho must satisfy 0 < |rho| < 1")
+    _check_rho(rho)  # before the series work that |rho| = 1 would break
     if not -1.0 < q < 1.0:
         raise ValueError("MehlerQ requires q strictly inside (-1, 1); "
                          "the q = 1 endpoint is the closed-form AR(1) kernel")
@@ -179,11 +239,9 @@ def transition_density(k: TransitionKernel, x, y: float):
     the clamped magnitude recorded, values below -tol_neg raise."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(k, GaussianAR1):
-        sd2 = 1.0 - k.rho * k.rho
-        out = np.exp(-0.5 * (xs - k.rho * y) ** 2 / sd2) / math.sqrt(2.0 * math.pi * sd2)
+        out = _ar1_density(k, xs, y)
     elif isinstance(k, MehlerQ):
-        spec = QGaussian(k.q)
-        fq = density(spec, xs)
+        fq = density(k.law, xs)
         total, last = _mehler_sum_and_last(k, xs, np.array([y]))
         out = fq * total[:, 0]
         mask = out < 0.0
@@ -203,167 +261,102 @@ def transition_density(k: TransitionKernel, x, y: float):
     return out if np.ndim(x) else float(out[0])
 
 
-# cached theta-space evaluation data per (kernel signature, node count)
+def _ar1_density(k: GaussianAR1, x, y):
+    sd2 = 1.0 - k.rho * k.rho
+    return np.exp(-0.5 * (x - k.rho * y) ** 2 / sd2) / math.sqrt(2.0 * math.pi * sd2)
+
+
+# cached theta-space evaluation data per (q, truncation, node count)
 _THETA_CACHE: dict = {}
 _THETA_LOCK = Lock()
 _NODE_LADDER = (128, 256, 512, 1024, 2048)
 
 
-def _theta_data(k: MehlerQ, n_nodes: int, deg: int):
-    key = (k.rho, k.q, k.truncation, n_nodes, deg)
+def _theta_data(k: MehlerQ, n_nodes: int):
+    """Nodes x, weights w(theta) d(theta) and Q_0..Q_N(x) of one ladder rung."""
+    key = (k.q, k.truncation, n_nodes)
     with _THETA_LOCK:
         hit = _THETA_CACHE.get(key)
     if hit is not None:
         return hit
-    spec = QGaussian(k.q)
     theta, w = gl_nodes(0.0, math.pi, n_nodes)
-    x = theta_to_x(spec, theta)
-    wt = theta_weight(spec, theta)
-    tab = qpoly.qhermite_table(x, k.q, deg)
-    data = (theta, w, x, wt, tab)
+    x = theta_to_x(k.law, theta)
+    data = (x, w * theta_weight(k.law, theta), qpoly.qhermite_table(x, k.q, k.truncation))
     with _THETA_LOCK:
         _THETA_CACHE.setdefault(key, data)
     return data
 
 
-def _mehler_integrate(k: MehlerQ, y: float, g_rows, tol: float = 1e-9):
-    """Integrals of g_i(x) f(x|y) dx for the rows selected by g_rows, where
-    g_rows(tab, x) returns an array (n_funcs, n_nodes); node-doubling."""
-    deg = max(k.truncation, 12)
-    coeffs = _mehler_coeffs(k)
+def _ladder(k: MehlerQ, rung, tol: float = 1e-9):
+    """Node-doubling in theta: rung(x, wq, tab) on each size of _NODE_LADDER
+    until two sizes agree within tol; the last size's value otherwise."""
     prev = None
     for n_nodes in _NODE_LADDER:
-        theta, w, x, wt, tab = _theta_data(k, n_nodes, deg)
-        qy = qpoly.qhermite_all(y, k.q, k.truncation)
-        kcol = (coeffs * qy) @ tab[: k.truncation + 1]
-        vals = g_rows(tab, x) @ (w * wt * kcol)
-        if prev is not None and np.max(np.abs(vals - prev)) <= tol * max(1.0, float(np.max(np.abs(vals)))):
-            return vals
-        prev = vals
-    return prev
+        val = rung(*_theta_data(k, n_nodes))
+        scale = max(1.0, float(np.max(np.abs(val))))
+        if prev is not None and np.max(np.abs(val - prev)) <= tol * scale:
+            break
+        prev = val
+    return val
 
 
 def eigen_residual(k: TransitionKernel, n: int, y: float) -> float:
     """|integral Q_n(x) f(x|y) dx - rho^n Q_n(y)| for the kernel's q."""
     if n < 0 or n > 12:
         raise ValueError("degree n must be in [0, 12]")
-    if isinstance(k, MehlerQ):
-        val = _mehler_integrate(k, y, lambda tab, x: tab[n][None, :])[0]
-        target = k.rho ** n * qpoly.qhermite_all(y, k.q, max(n, 1))[n]
-        return float(abs(float(val) - target))
-    if isinstance(k, GaussianAR1):
-        sd = math.sqrt(1.0 - k.rho * k.rho)
-        val = integrate_gaussian(
-            lambda t: qpoly.qhermite_table(t, 1.0, max(n, 1))[n], mean=k.rho * y, sd=sd, n=96)
-        target = k.rho ** n * qpoly.qhermite_all(y, 1.0, max(n, 1))[n]
-        return float(abs(val - target))
-    states, probs = _chain_states(k, y)
-    qs = qpoly.qhermite_table(states, -1.0, max(n, 1))[n]
-    target = k.rho ** n * qpoly.qhermite_all(y, -1.0, max(n, 1))[n]
-    return float(abs(float(probs @ qs) - target))
+    deg = max(n, 1)
+    val = k.expect(y, lambda x: qpoly.qhermite_table(x, k.eigen_q, deg)[n:n + 1])[0]
+    target = k.rho ** n * qpoly.qhermite_all(y, k.eigen_q, deg)[n]
+    return float(abs(float(val) - target))
 
 
 def conditional_moment_residual(k: TransitionKernel, p: FieldParams, y: float) -> dict:
     """Residuals of the one-step conditional mean and second moment against
     rho*y and alpha1*y^2 + gamma1 from the parameter algebra (D = 0)."""
     rc = regression_coeffs(p)
-    if isinstance(k, MehlerQ):
-        vals = _mehler_integrate(k, y, lambda tab, x: np.vstack([x, x * x]))
-        mean, second = float(vals[0]), float(vals[1])
-    elif isinstance(k, GaussianAR1):
-        sd = math.sqrt(1.0 - k.rho * k.rho)
-        mean = integrate_gaussian(lambda t: t, mean=k.rho * y, sd=sd, n=96)
-        second = integrate_gaussian(lambda t: t * t, mean=k.rho * y, sd=sd, n=96)
-    else:
-        states, probs = _chain_states(k, y)
-        mean = float(probs @ states)
-        second = float(probs @ (states * states))
+    mean, second = (float(v) for v in k.expect(y, lambda x: np.vstack([x, x * x])))
     return {
         "r_mean": float(abs(mean - p.rho * y)),
         "r_var": float(abs(second - (rc.alpha1 * y * y + rc.gamma1))),
     }
 
 
-def _chain_states(k: TransitionKernel, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reachable states and one-step probabilities from state y (atomic kernels)."""
-    if isinstance(k, TwoPointChain):
-        if y not in (-1.0, 1.0):
-            raise ValueError("two-point chain states are +/-1")
-        return np.array([y, -y]), np.array([(1.0 + k.rho) / 2.0, (1.0 - k.rho) / 2.0])
-    if isinstance(k, ScaledTwoPointChain):
-        r = abs(y)
-        if r == 0.0:
-            return np.array([0.0]), np.array([1.0])
-        s = math.copysign(1.0, y)
-        return np.array([s * r, -s * r]), np.array([(1.0 + k.rho) / 2.0, (1.0 - k.rho) / 2.0])
-    raise ValueError(f"{k.name} is not an atomic kernel")
-
-
 def stationary_spec(k: TransitionKernel) -> MeasureSpec:
     """The stationary one-dimensional law paired with the kernel."""
-    if isinstance(k, MehlerQ):
-        return QGaussian(k.q)
-    if isinstance(k, GaussianAR1):
-        return StdGaussian()
-    if isinstance(k, TwoPointChain):
-        return TwoPointSym()
-    if isinstance(k, ScaledTwoPointChain):
-        return ScaledTwoPoint(k.radial)
-    raise TypeError(f"unknown kernel {k!r}")
+    return k.law
 
 
 def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x: float,
                           tol: float = 1e-9) -> float:
     """|integral f(x|y) d nu(y) - f_nu(x)| (continuous) or the total-variation
     mismatch of pi P vs pi (atomic; x selects nothing there)."""
+    if spec != k.law:
+        raise ValueError("kernel/measure pair mismatch")
     if isinstance(k, MehlerQ):
-        if not isinstance(spec, QGaussian) or spec.q != k.q:
-            raise ValueError("kernel/measure pair mismatch")
-        coeffs = _mehler_coeffs(k)
         fx = density(spec, x)
-        qx = qpoly.qhermite_all(x, k.q, k.truncation)
-        prev = None
-        for n_nodes in _NODE_LADDER:
-            theta, w, ynodes, wt, tab = _theta_data(k, n_nodes, max(k.truncation, 12))
-            krow = (coeffs * qx) @ tab[: k.truncation + 1]
-            val = fx * float((w * wt) @ krow)
-            if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-                break
-            prev = val
+        kx = _mehler_coeffs(k) * qpoly.qhermite_all(x, k.q, k.truncation)
+        val = _ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab)), tol)
         return float(abs(val - fx))
     if isinstance(k, GaussianAR1):
-        if not isinstance(spec, StdGaussian):
-            raise ValueError("kernel/measure pair mismatch")
-        sd2 = 1.0 - k.rho * k.rho
-        val = integrate_gaussian(
-            lambda yv: np.exp(-0.5 * (x - k.rho * yv) ** 2 / sd2) / math.sqrt(2.0 * math.pi * sd2),
-            n=160)
-        return abs(val - density(spec, x))
-    # atomic: enumerate states of the paired law
-    states, pi = _atomic_law(spec)
+        return abs(integrate_gaussian(lambda yv: _ar1_density(k, x, yv), n=160)
+                   - density(spec, x))
+    # atomic: enumerate the states of the law R*Y
+    states: list[float] = []
+    probs: list[float] = []
+    for v, p in zip(k.radial.values, k.radial.probs):
+        if v == 0.0:
+            states.append(0.0)
+            probs.append(p)
+        else:
+            states.extend([-v, v])
+            probs.extend([p / 2.0, p / 2.0])
+    states, pi = np.asarray(states), np.asarray(probs)
     pi_next = np.zeros_like(pi)
     for i, s in enumerate(states):
-        nxt, pr = _chain_states(k, float(s))
+        nxt, pr = k._rule(float(s))
         for t, p in zip(nxt, pr):
             pi_next[np.argmin(np.abs(states - t))] += pi[i] * p
     return 0.5 * float(np.abs(pi_next - pi).sum())
-
-
-def _atomic_law(spec: MeasureSpec) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(spec, TwoPointSym):
-        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    if isinstance(spec, ScaledTwoPoint):
-        states: list[float] = []
-        probs: list[float] = []
-        for v, p in zip(spec.radial.values, spec.radial.probs):
-            if v == 0.0:
-                states.append(0.0)
-                probs.append(p)
-            else:
-                states.extend([-v, v])
-                probs.extend([p / 2.0, p / 2.0])
-        return np.asarray(states), np.asarray(probs)
-    raise ValueError(f"{spec.name} is not atomic")
 
 
 def two_point_matrix(rho: float) -> np.ndarray:
@@ -389,28 +382,15 @@ def chapman_kolmogorov_residual(k: TransitionKernel, x: float, z: float,
         return abs(val - transition_density(k2, x, z))
     if not isinstance(k, MehlerQ):
         raise ValueError("Chapman-Kolmogorov check applies to continuous kernels")
-    spec = QGaussian(k.q)
     k2 = mehler_kernel(k.rho * k.rho, k.q, tol=k.tol, truncation=k.truncation)
     coeffs = _mehler_coeffs(k)
-    fx = density(spec, x)
+    fx = density(k.law, x)
     qx = qpoly.qhermite_all(x, k.q, k.truncation)
     qz = qpoly.qhermite_all(z, k.q, k.truncation)
-    prev = None
-    for n_nodes in _NODE_LADDER:
-        theta, w, ynodes, wt, tab = _theta_data(k, n_nodes, max(k.truncation, 12))
-        kxy = (coeffs * qx) @ tab[: k.truncation + 1]
-        kyz = (coeffs * qz) @ tab[: k.truncation + 1]
-        val = fx * float((w * wt) @ (kxy * kyz))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            break
-        prev = val
+    kx, kz = coeffs * qx, coeffs * qz
+    val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab) * (kz @ tab))), tol)
     target = fx * float(_mehler_coeffs(k2) @ (qx * qz))
     return abs(val - target)
-
-
-def _ar1_density(k: GaussianAR1, x: float, yv: np.ndarray) -> np.ndarray:
-    sd2 = 1.0 - k.rho * k.rho
-    return np.exp(-0.5 * (x - k.rho * yv) ** 2 / sd2) / math.sqrt(2.0 * math.pi * sd2)
 
 
 def detailed_balance_residual(k: TransitionKernel, spec: MeasureSpec,

@@ -23,7 +23,6 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from .quadrature import QuadratureError, gl_nodes, integrate_adaptive, integrate_gaussian
-from . import qpoly
 
 __all__ = [
     "MeasureSpec",
@@ -42,9 +41,14 @@ __all__ = [
 
 
 class MeasureSpec:
-    """Base of the stationary-law variants."""
+    """Base of the stationary-law variants.
+
+    ``draw(u)`` is the law's inverse-CDF map: it turns ``n_uniforms`` rows of
+    uniforms, shape (n_uniforms, n), into n draws.
+    """
 
     __slots__ = ()
+    n_uniforms = 1
 
     @property
     def name(self) -> str:
@@ -61,15 +65,22 @@ class QGaussian(MeasureSpec):
         if not -1.0 < self.q < 1.0:
             raise ValueError("q must lie strictly inside (-1, 1)")
 
+    def draw(self, u) -> np.ndarray:
+        return cdf_table(self).quantile(u[0])
+
 
 @dataclass(frozen=True)
 class StdGaussian(MeasureSpec):
-    pass
+    def draw(self, u) -> np.ndarray:
+        return ndtri(np.maximum(u[0], np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
 class TwoPointSym(MeasureSpec):
     """(delta_{-1} + delta_{+1}) / 2."""
+
+    def draw(self, u) -> np.ndarray:
+        return np.where(u[0] < 0.5, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,16 @@ class RadialLaw:
 
 @dataclass(frozen=True)
 class ScaledTwoPoint(MeasureSpec):
+    """R*Y: the radius from u[0], the fair sign Y from u[1]."""
+
     radial: RadialLaw
+    n_uniforms = 2
+
+    def draw(self, u) -> np.ndarray:
+        cum = np.cumsum(self.radial.probs)
+        cum[-1] = 1.0
+        r = np.asarray(self.radial.values, dtype=float)[np.searchsorted(cum, u[0], side="right")]
+        return r * np.where(u[1] < 0.5, 1.0, -1.0)
 
 
 def support(spec: MeasureSpec):
@@ -240,6 +260,14 @@ _TABLE_CACHE: dict = {}
 _TABLE_LOCK = Lock()
 
 
+def theta_cells(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of every cell between consecutive
+    theta edges, each of shape (n_cells, n_nodes)."""
+    t_ref, w_ref = gl_nodes(0.0, 1.0, n_nodes)
+    h = np.diff(edges)
+    return edges[:-1, None] + h[:, None] * t_ref, h[:, None] * w_ref
+
+
 def _strictly_increasing(F: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = np.concatenate(([True], np.diff(F) > 0.0))
     return F[keep], x[keep]
@@ -264,12 +292,7 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
 
     theta_grid = np.linspace(0.0, math.pi, n_points)
     x_grid = theta_to_x(spec, theta_grid)
-    # all cells' Gauss-Legendre nodes at once
-    t_ref, w_ref = gl_nodes(0.0, 1.0, _CELL_NODES)
-    lo = theta_grid[:-1]
-    h = np.diff(theta_grid)
-    nodes = lo[:, None] + h[:, None] * t_ref[None, :]
-    weights = h[:, None] * w_ref[None, :]
+    nodes, weights = theta_cells(theta_grid, _CELL_NODES)
     vals = theta_weight(spec, nodes.ravel(), tol).reshape(nodes.shape)
     cells = (weights * vals).sum(axis=1)
     F = np.concatenate(([0.0], np.cumsum(cells)))
@@ -292,30 +315,7 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
 
 
 def sample(spec: MeasureSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n values: inverse-CDF for continuous specs, categorical otherwise."""
+    """Draw n values through the law's inverse-CDF map."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = rng.random(n)
-    if isinstance(spec, StdGaussian):
-        return ndtri(np.maximum(u, np.finfo(float).tiny))
-    if isinstance(spec, QGaussian):
-        return cdf_table(spec).quantile(u)
-    if isinstance(spec, TwoPointSym):
-        return np.where(u < 0.5, 1.0, -1.0)
-    if isinstance(spec, ScaledTwoPoint):
-        r = sample_radial(spec.radial, rng, n)
-        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        return r * y
-    raise TypeError(f"unknown spec {spec!r}")
-
-
-def sample_radial(radial: RadialLaw, rng: np.random.Generator, n: int) -> np.ndarray:
-    cum = np.cumsum(radial.probs)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    return np.asarray(radial.values, dtype=float)[idx]
-
-
-def qhermite_norms(q: float, n_max: int) -> np.ndarray:
-    """Squared norms [n]_q! of the monic family under the matching law."""
-    return qpoly.q_factorials(n_max, q)
+    return spec.draw(rng.random((spec.n_uniforms, n)))

@@ -97,9 +97,16 @@ class DerivedParams:
 
 
 class Classification:
-    """Base of the tagged classification verdicts."""
+    """Base of the tagged classification verdicts.
+
+    Existing cases set ``eigen_q``, the q of the monic q-Hermite family that
+    their one-step kernel maps Q_n -> rho^n Q_n, and ``martingale_n_max`` when
+    only eigen-increments up to that degree are identities.
+    """
 
     __slots__ = ()
+    eigen_q: float | None = None
+    martingale_n_max: int | None = None
 
     @property
     def name(self) -> str:
@@ -138,21 +145,28 @@ class ExistsScaledTwoPoint(Classification):
     """
 
     note: str = "finite-dimensional distributions not unique; zero-atom caveat applies"
+    eigen_q = -1.0
+    martingale_n_max = 1
 
 
 @dataclass(frozen=True)
 class ExistsTwoPointSymmetric(Classification):
     note: str = ""
+    eigen_q = -1.0
 
 
 @dataclass(frozen=True)
 class ExistsQGaussian(Classification):
     q: float
 
+    @property
+    def eigen_q(self) -> float:
+        return self.q
+
 
 @dataclass(frozen=True)
 class ExistsGaussian(Classification):
-    pass
+    eigen_q = 1.0
 
 
 @dataclass(frozen=True)

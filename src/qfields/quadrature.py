@@ -72,11 +72,18 @@ def _hermegauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w / np.sqrt(2.0 * np.pi)
 
 
+def gh_nodes(mean: float = 0.0, sd: float = 1.0,
+             n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for the N(mean, sd^2) density."""
+    t, w = _hermegauss(n)
+    return mean + sd * t, w
+
+
 def integrate_gaussian(f: Callable[[np.ndarray], np.ndarray],
                        mean: float = 0.0, sd: float = 1.0, n: int = 64) -> float:
     """Integral of f against the N(mean, sd^2) density via Gauss-Hermite.
 
     Exact for polynomial f of degree < 2n.
     """
-    t, w = _hermegauss(n)
-    return float(w @ np.asarray(f(mean + sd * t), dtype=float))
+    x, w = gh_nodes(mean, sd, n)
+    return float(w @ np.asarray(f(x), dtype=float))

@@ -2,33 +2,32 @@
 
 Each chain owns a counter-based stream (Philox keyed by master seed and
 chain id), so ensemble content is a pure function of
-(master_seed, n_chains, n_steps, sampler) whatever the worker count: the
-``BRYC_THREADS`` environment variable only partitions the per-chain stream
-generation.  Chains start from a stationary draw; the compact continuous
-case steps through per-state inverse-CDF tables on a cosine grid of
-conditioning states, interpolated cubically across states.
+(master_seed, n_chains, n_steps, sampler).  Chains start from a stationary
+draw through the law's inverse-CDF map, then advance by their case's step
+rule: the Gaussian AR(1) recursion, a sign flip for the two sign chains, and
+for the compact continuous case per-state inverse-CDF tables on a cosine
+grid of conditioning states, interpolated cubically across states.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import ndtri
 
 from . import measure
 from .kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TransitionKernel,
                      TwoPointChain, mehler_kernel, mehler_sum, stationarity_residual)
-from .measure import QGaussian, RadialLaw, theta_to_x, theta_weight
+from .measure import RadialLaw, theta_cells, theta_to_x, theta_weight
 from .params import Classification, ExistsGaussian, ExistsQGaussian, \
     ExistsScaledTwoPoint, ExistsTwoPointSymmetric
-from .quadrature import gl_nodes
 
 __all__ = [
     "SamplerConfig",
@@ -99,10 +98,63 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class ChainSampler:
+    """A case's kernel and stationary law with its step rule: chains start at
+    ``initial.draw`` and advance by x_t = step(x_{t-1}, u_t)."""
+
     kernel: TransitionKernel
     initial: measure.MeasureSpec
     classification: Classification
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False, compare=False)
     conditional: ConditionalTables | None = field(default=None, repr=False)
+
+
+def _certified(c: Classification, kern: TransitionKernel, probe_xs, step,
+               conditional: ConditionalTables | None = None) -> ChainSampler:
+    """The sampler of kern once its law passes the stationarity check at probe_xs."""
+    worst = max(stationarity_residual(kern, kern.law, x) for x in probe_xs)
+    if worst > _STATIONARITY_CERT_TOL:
+        raise SamplerError(f"initial law failed stationarity certification "
+                           f"(residual {worst:.3e})")
+    return ChainSampler(kern, kern.law, c, step, conditional)
+
+
+def _flip_step(rho: float):
+    stay = (1.0 + rho) / 2.0
+    return lambda x, u: x * np.where(u < stay, 1.0, -1.0)
+
+
+def _gaussian(c: ExistsGaussian, cfg: SamplerConfig) -> ChainSampler:
+    kern = GaussianAR1(cfg.rho)
+    sd = math.sqrt(1.0 - kern.rho * kern.rho)
+    return _certified(c, kern, (-1.0, 0.0, 1.5),
+                      lambda x, u: kern.rho * x + sd * kern.law.draw((u,)))
+
+
+def _qgaussian(c: ExistsQGaussian, cfg: SamplerConfig) -> ChainSampler:
+    kern = mehler_kernel(cfg.rho, c.q)
+    tables = _build_conditional_tables(kern)
+    s = tables.support_radius
+    return _certified(c, kern, (-0.55 * s, 0.1 * s, 0.4 * s),
+                      partial(_conditional_quantile, tables), tables)
+
+
+def _twopoint(c: ExistsTwoPointSymmetric, cfg: SamplerConfig) -> ChainSampler:
+    return _certified(c, TwoPointChain(cfg.rho), (1.0,), _flip_step(cfg.rho))
+
+
+def _scaled(c: ExistsScaledTwoPoint, cfg: SamplerConfig) -> ChainSampler:
+    if cfg.radial is None:
+        raise SamplerError("scaled two-point case requires a radial law")
+    return _certified(c, ScaledTwoPointChain(cfg.rho, cfg.radial), (1.0,),
+                      _flip_step(cfg.rho))
+
+
+_BUILDERS = {
+    ExistsGaussian: _gaussian,
+    ExistsQGaussian: _qgaussian,
+    ExistsTwoPointSymmetric: _twopoint,
+    ExistsScaledTwoPoint: _scaled,
+}
 
 
 def make_sampler(c: Classification, cfg: SamplerConfig) -> ChainSampler:
@@ -112,42 +164,11 @@ def make_sampler(c: Classification, cfg: SamplerConfig) -> ChainSampler:
     needs a radial law in the config (a degenerate radial law at 1 recovers
     the plain two-point chain).
     """
-    if isinstance(c, ExistsGaussian):
-        kern: TransitionKernel = GaussianAR1(cfg.rho)
-        init: measure.MeasureSpec = measure.StdGaussian()
-        cond = None
-    elif isinstance(c, ExistsQGaussian):
-        kern = mehler_kernel(cfg.rho, c.q)
-        init = QGaussian(c.q)
-        cond = _build_conditional_tables(kern)
-    elif isinstance(c, ExistsTwoPointSymmetric):
-        kern = TwoPointChain(cfg.rho)
-        init = measure.TwoPointSym()
-        cond = None
-    elif isinstance(c, ExistsScaledTwoPoint):
-        if cfg.radial is None:
-            raise SamplerError("scaled two-point case requires a radial law")
-        kern = ScaledTwoPointChain(cfg.rho, cfg.radial)
-        init = measure.ScaledTwoPoint(cfg.radial)
-        cond = None
-    else:
-        raise SamplerError(f"cannot sample {c.name}: {getattr(c, 'reason', None) or getattr(c, 'caveat', 'existence open')}")
-    _certify_stationary(kern, init)
-    return ChainSampler(kernel=kern, initial=init, classification=c, conditional=cond)
-
-
-def _certify_stationary(kern: TransitionKernel, init: measure.MeasureSpec) -> None:
-    if isinstance(kern, MehlerQ):
-        s = 2.0 / math.sqrt(1.0 - kern.q)
-        xs = (-0.55 * s, 0.1 * s, 0.4 * s)
-    elif isinstance(kern, GaussianAR1):
-        xs = (-1.0, 0.0, 1.5)
-    else:
-        xs = (1.0,)
-    worst = max(stationarity_residual(kern, init, x) for x in xs)
-    if worst > _STATIONARITY_CERT_TOL:
-        raise SamplerError(f"initial law failed stationarity certification "
-                           f"(residual {worst:.3e})")
+    build = _BUILDERS.get(type(c))
+    if build is None:
+        why = getattr(c, "reason", None) or getattr(c, "caveat", "existence open")
+        raise SamplerError(f"cannot sample {c.name}: {why}")
+    return build(c, cfg)
 
 
 # conditioning-state grid / dense-uniform-grid sizes for the conditional tables
@@ -159,17 +180,13 @@ _CELL_NODES = 8
 
 def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CELLS,
                               n_u: int = _N_U) -> ConditionalTables:
-    spec = QGaussian(k.q)
+    spec = k.law
     s = 2.0 / math.sqrt(1.0 - k.q)
     y_nodes = theta_to_x(spec, np.linspace(0.0, math.pi, n_y))
     theta_edges = np.linspace(0.0, math.pi, n_cells + 1)
     x_edges = theta_to_x(spec, theta_edges)
 
-    t_ref, w_ref = gl_nodes(0.0, 1.0, _CELL_NODES)
-    lo = theta_edges[:-1]
-    h = np.diff(theta_edges)
-    nodes = (lo[:, None] + h[:, None] * t_ref[None, :]).ravel()
-    wts = (h[:, None] * w_ref[None, :]).ravel()
+    nodes, wts = (a.ravel() for a in theta_cells(theta_edges, _CELL_NODES))
     x_nodes = theta_to_x(spec, nodes)
     wt = theta_weight(spec, nodes)  # marginal weight in theta
     ker = mehler_sum(k, x_nodes, y_nodes)  # (n_cells*nodes, n_y)
@@ -225,84 +242,30 @@ def _conditional_quantile(tables: ConditionalTables, y: np.ndarray,
     return np.clip(x, -tables.support_radius, tables.support_radius)
 
 
-def _chain_uniforms(master_seed: int, chain_id: int, n: int) -> np.ndarray:
-    key = np.array([master_seed, chain_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(n)
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("BRYC_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _uniform_block(master_seed: int, n_chains: int, n_draws: int,
-                   workers: int) -> np.ndarray:
+def _uniform_block(master_seed: int, n_chains: int, n_draws: int) -> np.ndarray:
     out = np.empty((n_chains, n_draws))
-
-    def fill(cid: int) -> None:
-        out[cid] = _chain_uniforms(master_seed, cid, n_draws)
-
-    if workers <= 1 or n_chains <= 1:
-        for cid in range(n_chains):
-            fill(cid)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_chains)))
+    for cid in range(n_chains):
+        key = np.array([master_seed, cid], dtype=np.uint64)
+        out[cid] = np.random.Generator(np.random.Philox(key=key)).random(n_draws)
     return out
 
 
 def sample_ensemble(s: ChainSampler, n_chains: int, n_steps: int,
                     master_seed: int, workers: int | None = None) -> Ensemble:
-    """Sample the ensemble; output depends only on the arguments."""
+    """Sample the ensemble; output depends only on the arguments (``workers``
+    is accepted for compatibility and has no effect)."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     if not 0 <= master_seed < 2 ** 64:
         raise ValueError("master_seed must fit in 64 bits")
-    nw = _worker_count(workers)
-    kern = s.kernel
+    k = s.initial.n_uniforms
+    u = _uniform_block(master_seed, n_chains, n_steps + k - 1)
     vals = np.empty((n_chains, n_steps))
-
-    if isinstance(kern, GaussianAR1):
-        u = _uniform_block(master_seed, n_chains, n_steps, nw)
-        z = ndtri(np.maximum(u, np.finfo(float).tiny))
-        sd = math.sqrt(1.0 - kern.rho * kern.rho)
-        vals[:, 0] = z[:, 0]
-        for t in range(1, n_steps):
-            vals[:, t] = kern.rho * vals[:, t - 1] + sd * z[:, t]
-    elif isinstance(kern, TwoPointChain):
-        u = _uniform_block(master_seed, n_chains, n_steps, nw)
-        stay = (1.0 + kern.rho) / 2.0
-        vals[:, 0] = np.where(u[:, 0] < 0.5, 1.0, -1.0)
-        for t in range(1, n_steps):
-            vals[:, t] = vals[:, t - 1] * np.where(u[:, t] < stay, 1.0, -1.0)
-    elif isinstance(kern, ScaledTwoPointChain):
-        u = _uniform_block(master_seed, n_chains, n_steps + 1, nw)
-        radial = kern.radial
-        cum = np.cumsum(radial.probs)
-        cum[-1] = 1.0
-        r = np.asarray(radial.values, dtype=float)[np.searchsorted(cum, u[:, 0], side="right")]
-        stay = (1.0 + kern.rho) / 2.0
-        y = np.where(u[:, 1] < 0.5, 1.0, -1.0)
-        vals[:, 0] = r * y
-        for t in range(1, n_steps):
-            y = y * np.where(u[:, t + 1] < stay, 1.0, -1.0)
-            vals[:, t] = r * y
-    elif isinstance(kern, MehlerQ):
-        assert s.conditional is not None
-        u = _uniform_block(master_seed, n_chains, n_steps, nw)
-        table = measure.cdf_table(QGaussian(kern.q))
-        vals[:, 0] = table.quantile(u[:, 0])
-        for t in range(1, n_steps):
-            vals[:, t] = _conditional_quantile(s.conditional, vals[:, t - 1], u[:, t])
-    else:
-        raise SamplerError(f"no sampling rule for kernel {kern.name}")
+    vals[:, 0] = s.initial.draw(u[:, :k].T)
+    for t in range(1, n_steps):
+        vals[:, t] = s.step(vals[:, t - 1], u[:, t + k - 1])
     vals.setflags(write=False)
     return Ensemble(master_seed=master_seed, values=vals)
 
@@ -323,28 +286,37 @@ def _write_csv_stream(e: Ensemble, fh: io.TextIOBase) -> None:
 
 
 def read_csv(source) -> Ensemble:
-    """Read the write_csv format back into an ensemble (seed unknown: 0)."""
+    """Read the write_csv format back into an ensemble (seed unknown: 0).
+
+    Rows must come in (chain, t) order: chain ids 0..k-1, and within each
+    chain t = 0..n-1.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = source.read().splitlines()
-    if not lines or lines[0].strip() != "chain,t,x":
+            return _read_csv_stream(fh)
+    return _read_csv_stream(source)
+
+
+def _read_csv_stream(fh: io.TextIOBase) -> Ensemble:
+    if fh.readline().strip() != "chain,t,x":
         raise ValueError("expected header 'chain,t,x'")
-    per_chain: dict[int, list[float]] = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        c, t, x = ln.split(",")
-        per_chain.setdefault(int(c), []).append(float(x))
-    if not per_chain:
+    with warnings.catch_warnings():  # loadtxt warns on an empty body
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if data.shape[0] == 0:
         raise ValueError("no data rows")
-    ids = sorted(per_chain)
-    if ids != list(range(len(ids))):
+    if data.shape[1] != 3:
+        raise ValueError("expected 3 columns chain,t,x")
+    chain, t, x = data.T
+    ids, counts = np.unique(chain, return_counts=True)
+    if not np.array_equal(ids, np.arange(ids.size)):
         raise ValueError("chain ids must be contiguous from 0")
-    lengths = {len(v) for v in per_chain.values()}
-    if len(lengths) != 1:
+    if np.any(counts != counts[0]):
         raise ValueError("all chains must have equal length")
-    vals = np.array([per_chain[c] for c in ids])
+    n = int(counts[0])
+    if not (np.array_equal(chain, np.repeat(ids, n))
+            and np.array_equal(t, np.tile(np.arange(n), ids.size))):
+        raise ValueError("rows must run t = 0..n-1 within each chain, chains in id order")
+    vals = np.ascontiguousarray(x).reshape(ids.size, n)
     vals.setflags(write=False)
     return Ensemble(master_seed=0, values=vals)

@@ -14,13 +14,12 @@ that hold pointwise) report a zero standard error and pass exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qpoly
-from .params import Classification, ExistsGaussian, ExistsQGaussian, \
-    ExistsScaledTwoPoint, ExistsTwoPointSymmetric, FieldParams
+from .params import Classification, FieldParams
 from .simulate import Ensemble
 
 __all__ = [
@@ -161,19 +160,8 @@ def standard_suite(e: Ensemble, p: FieldParams, c: Classification,
     entries = empirical_corr(e, p.rho, k_max=k_max, threshold=threshold)
     entries += weak_form_residuals(e, p, degree=degree, threshold=threshold)
     entries += symmetry_checks(e, threshold=threshold)
-    q_for_case = None
-    n_eff = n_max
-    if isinstance(c, ExistsGaussian):
-        q_for_case = 1.0
-    elif isinstance(c, ExistsQGaussian):
-        q_for_case = c.q
-    elif isinstance(c, ExistsTwoPointSymmetric):
-        q_for_case = -1.0
-    elif isinstance(c, ExistsScaledTwoPoint):
-        q_for_case = -1.0
-        n_eff = 1
-    if q_for_case is not None:
-        entries += martingale_residuals(e, p.rho, q_for_case, n_max=n_eff,
+    if c.eigen_q is not None:
+        entries += martingale_residuals(e, p.rho, c.eigen_q, n_max=c.martingale_n_max or n_max,
                                         m_max=m_max, threshold=threshold)
     return entries
 
@@ -216,7 +204,3 @@ def load_report(source) -> dict:
 
 def n_failures(report: dict) -> int:
     return int(report["summary"]["n_fail"])
-
-
-def entries_as_dicts(entries: list[TestEntry]) -> list[dict]:
-    return [asdict(e) for e in entries]

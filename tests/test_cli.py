@@ -237,3 +237,24 @@ class TestDeterministicOutputs:
                                      "--out", str(csv_path)])
                 outs.append(csv_path.read_bytes())
         assert len(set(outs)) == 1
+
+
+class TestKernelCheckVerdict:
+    @pytest.mark.parametrize("rho", ["-1", "0"])
+    def test_invalid_rho_at_gaussian_endpoint_exit_two(self, capsys, rho):
+        code, out, err = run_capture(capsys, ["kernel-check", "--rho", rho, "--q", "1"])
+        assert code == 2
+        assert "PASS" not in out
+        assert "rho" in err
+
+    def test_nan_residual_fails(self, capsys, monkeypatch):
+        from qfields import kernel
+        monkeypatch.setattr(kernel, "chapman_kolmogorov_residual",
+                            lambda k, x, z: float("nan"))
+        code, out, _ = run_capture(capsys, ["kernel-check", "--rho", "0.5", "--q", "1"])
+        assert code == 3
+        assert "FAIL" in out
+        code, out, _ = run_capture(capsys, ["kernel-check", "--rho", "0.5", "--q", "1",
+                                            "--json"])
+        assert code == 3
+        assert json.loads(out)["pass"] is False

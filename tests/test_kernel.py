@@ -236,3 +236,16 @@ class TestComposition:
             assert detailed_balance_residual(k, s, x, y) <= 1e-8
         kg = GaussianAR1(0.6)
         assert detailed_balance_residual(kg, StdGaussian(), 0.5, -1.1) <= 1e-15
+
+
+class TestRhoOnConstruction:
+    @pytest.mark.parametrize("make", [
+        GaussianAR1,
+        TwoPointChain,
+        lambda rho: ScaledTwoPointChain(rho, RadialLaw(values=(1.0,), probs=(1.0,))),
+        lambda rho: mehler_kernel(rho, 0.5),
+    ])
+    @pytest.mark.parametrize("rho", [0.0, 1.0, -1.0, 1.5, float("nan")])
+    def test_every_kernel_rejects_rho(self, make, rho):
+        with pytest.raises(ValueError, match="rho"):
+            make(rho)

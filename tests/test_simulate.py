@@ -216,3 +216,24 @@ class TestCsv:
     def test_noncontiguous_rejected(self):
         with pytest.raises(ValueError, match="contiguous"):
             read_csv(io.StringIO("chain,t,x\n0,0,1.0\n2,0,3.0\n"))
+
+
+class TestCsvTimeColumn:
+    @pytest.mark.parametrize("body", [
+        "0,1,2.0\n0,0,1.0\n1,0,3.0\n1,1,4.0\n",  # t shuffled within a chain
+        "0,0,1.0\n0,7,2.0\n1,0,3.0\n1,1,4.0\n",  # gap in t
+        "0,0,1.0\n1,0,3.0\n0,1,2.0\n1,1,4.0\n",  # chains interleaved
+        "1,0,3.0\n1,1,4.0\n0,0,1.0\n0,1,2.0\n",  # chains out of order
+    ])
+    def test_out_of_order_rows_rejected(self, body):
+        with pytest.raises(ValueError, match="t = 0..n-1"):
+            read_csv(io.StringIO("chain,t,x\n" + body))
+
+    def test_header_only_has_no_rows(self):
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv(io.StringIO("chain,t,x\n"))
+
+    def test_ordered_rows_read(self):
+        e = read_csv(io.StringIO("chain,t,x\n0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,-0\n"))
+        assert e.values.tolist() == [[1.0, 2.0], [3.0, -0.0]]
+        assert e.values.flags.c_contiguous and not e.values.flags.writeable
