@@ -67,13 +67,16 @@ class ConditionalTables:
 
     ``quantiles[j, i]`` is the conditional quantile at state y_nodes[j] and
     uniform level u_grid[i]; lookups interpolate linearly in u on the dense
-    grid and cubically across the four nearest states.
+    grid and cubically across the four nearest states.  ``stencil_den[j0, a]``
+    holds the Lagrange denominators y_nodes[j0+a] - y_nodes[j0+b] of the
+    stencil starting at row j0, over b in 0..3 without a, in increasing b.
     """
 
     y_nodes: np.ndarray
     u_grid: np.ndarray
     quantiles: np.ndarray
     support_radius: float
+    stencil_den: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,8 @@ class ChainSampler:
 def _certified(c: Classification, kern: TransitionKernel, probe_xs, step,
                conditional: ConditionalTables | None = None) -> ChainSampler:
     """The sampler of kern once its law passes the stationarity check at probe_xs."""
-    worst = max(stationarity_residual(kern, kern.law, x) for x in probe_xs)
-    if worst > _STATIONARITY_CERT_TOL:
+    worst = float(np.max([stationarity_residual(kern, kern.law, x) for x in probe_xs]))
+    if not worst <= _STATIONARITY_CERT_TOL:  # a NaN residual fails too
         raise SamplerError(f"initial law failed stationarity certification "
                            f"(residual {worst:.3e})")
     return ChainSampler(kern, kern.law, c, step, conditional)
@@ -176,6 +179,9 @@ _N_Y = 65
 _N_CELLS = 1024
 _N_U = 4097
 _CELL_NODES = 8
+# the four stencil rows, and for each row a the other three in increasing order
+_STENCIL_ROWS = np.arange(4)
+_STENCIL_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CELLS,
@@ -205,12 +211,22 @@ def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CEL
     for j in range(n_y):
         Fj = F[:, j]
         keep = np.concatenate(([True], np.diff(Fj) > 0.0))
-        quant[j] = PchipInterpolator(Fj[keep], x_edges[keep], extrapolate=False)(u_grid)
+        try:
+            with np.errstate(divide="ignore"):  # reported below, not as a warning
+                quant[j] = PchipInterpolator(Fj[keep], x_edges[keep],
+                                             extrapolate=False)(u_grid)
+        except ValueError:  # non-finite slopes: the CDF has no usable increments
+            raise SamplerError(
+                f"conditional tables at rho={k.rho:g}, q={k.q:g} have non-finite "
+                f"slopes: series truncated at N={k.truncation}, tail_estimate "
+                f"{k.tail_estimate:.3g}") from None
     quant[:, 0] = x_edges[0]
     quant[:, -1] = x_edges[-1]
     np.clip(quant, -s, s, out=quant)
+    j0 = np.arange(n_y - 3)[:, None, None]
+    den = y_nodes[j0 + _STENCIL_ROWS[:, None]] - y_nodes[j0 + _STENCIL_OTHERS]
     return ConditionalTables(y_nodes=y_nodes, u_grid=u_grid, quantiles=quant,
-                             support_radius=s)
+                             support_radius=s, stencil_den=den)
 
 
 def _conditional_quantile(tables: ConditionalTables, y: np.ndarray,
@@ -219,27 +235,22 @@ def _conditional_quantile(tables: ConditionalTables, y: np.ndarray,
     across the four nearest conditioning states."""
     n_y, n_u = tables.quantiles.shape
     pos = u * (n_u - 1)
-    iu = np.clip(pos.astype(np.int64), 0, n_u - 2)
+    iu = np.minimum(np.maximum(pos.astype(np.int64), 0), n_u - 2)
     fu = pos - iu
-    j0 = np.clip(np.searchsorted(tables.y_nodes, y) - 2, 0, n_y - 4)
-    x = np.zeros_like(y)
-    wsum = np.zeros_like(y)
-    yn = tables.y_nodes
-    for a in range(4):
-        ja = j0 + a
-        # Lagrange weight of node ja among the stencil rows
-        w = np.ones_like(y)
-        for b2 in range(4):
-            if b2 == a:
-                continue
-            jb = j0 + b2
-            w *= (y - yn[jb]) / (yn[ja] - yn[jb])
-        qa = tables.quantiles[ja, iu] * (1.0 - fu) + tables.quantiles[ja, iu + 1] * fu
-        x += w * qa
-        wsum += w
-    # weights sum to 1 analytically; renormalize against rounding
-    x /= wsum
-    return np.clip(x, -tables.support_radius, tables.support_radius)
+    j0 = np.minimum(np.maximum(np.searchsorted(tables.y_nodes, y) - 2, 0), n_y - 4)
+    # Lagrange weight of each stencil row a: prod over b != a of
+    # (y - yn[j0+b]) / (yn[j0+a] - yn[j0+b]), factors in increasing b
+    t = ((y[:, None, None] - tables.y_nodes[j0[:, None, None] + _STENCIL_OTHERS])
+         / tables.stencil_den[j0])
+    w = t[:, :, 0] * t[:, :, 1] * t[:, :, 2]
+    cell = (j0[:, None] + _STENCIL_ROWS) * n_u + iu[:, None]
+    quant = tables.quantiles.ravel()
+    xw = w * (quant[cell] * (1.0 - fu)[:, None] + quant[cell + 1] * fu[:, None])
+    # sum in stencil order starting from 0.0 (the output bytes depend on it);
+    # weights sum to 1 analytically, so renormalize against rounding
+    x = (((0.0 + xw[:, 0]) + xw[:, 1]) + xw[:, 2]) + xw[:, 3]
+    x /= (((0.0 + w[:, 0]) + w[:, 1]) + w[:, 2]) + w[:, 3]
+    return np.minimum(np.maximum(x, -tables.support_radius), tables.support_radius)
 
 
 def _uniform_block(master_seed: int, n_chains: int, n_draws: int) -> np.ndarray:
@@ -280,9 +291,11 @@ def write_csv(e: Ensemble, sink) -> None:
 
 
 def _write_csv_stream(e: Ensemble, fh: io.TextIOBase) -> None:
+    # one %-format per chain: "" + cid + ",0,%.17g\n" + cid + ",1,%.17g\n" + ...
+    rows = [""] + [f",{t},%.17g\n" for t in range(e.n_steps)]
     fh.write("chain,t,x\n")
     for cid, row in e.chains():
-        fh.writelines(f"{cid},{t},{v:.17g}\n" for t, v in enumerate(row))
+        fh.write(str(cid).join(rows) % tuple(row.tolist()))
 
 
 def read_csv(source) -> Ensemble:

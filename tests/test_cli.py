@@ -258,3 +258,15 @@ class TestKernelCheckVerdict:
                                             "--json"])
         assert code == 3
         assert json.loads(out)["pass"] is False
+
+
+class TestSampleNearQOne:
+    def test_refusal_names_parameters_not_scipy(self, capsys, tmp_path):
+        out_path = tmp_path / "c.csv"
+        code, _, err = run_capture(capsys, ["sample", "--rho", "0.5", "--q", "0.99",
+                                            "--chains", "2", "--steps", "3",
+                                            "--out", str(out_path)])
+        assert code == 2
+        assert "rho" in err and "q" in err
+        assert "dydx" not in err
+        assert not out_path.exists()

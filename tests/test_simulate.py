@@ -10,6 +10,7 @@ from qfields.params import (FieldParams, NonexistentDegenerate, OpenLattice,
                             classify, params_from_rho_q)
 from qfields.simulate import (SamplerConfig, SamplerError,
                               make_sampler, read_csv, sample_ensemble, write_csv)
+from qfields.simulate import Ensemble, _conditional_quantile
 
 SQRT2 = math.sqrt(2.0)
 
@@ -237,3 +238,116 @@ class TestCsvTimeColumn:
         e = read_csv(io.StringIO("chain,t,x\n0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,-0\n"))
         assert e.values.tolist() == [[1.0, 2.0], [3.0, -0.0]]
         assert e.values.flags.c_contiguous and not e.values.flags.writeable
+
+
+def _rowwise_csv(e) -> str:
+    """Oracle: one f-string per row, the writer's original formulation."""
+    lines = ["chain,t,x\n"]
+    for cid, row in e.chains():
+        lines.extend(f"{cid},{t},{v:.17g}\n" for t, v in enumerate(row))
+    return "".join(lines)
+
+
+def _written(e) -> str:
+    buf = io.StringIO()
+    write_csv(e, buf)
+    return buf.getvalue()
+
+
+class TestCsvWriterBytes:
+    EDGES = [-0.0, 5e-324, 1.0, 1e300, -1e-7, 0.1, -2.5, 1.0 / 3.0]
+
+    def test_edge_values_match_rowwise_oracle(self):
+        vals = np.array([self.EDGES] * 12) * np.arange(1, 13)[:, None]
+        vals[:, 0] = -0.0
+        e = Ensemble(master_seed=0, values=vals)
+        text = _written(e)
+        assert text == _rowwise_csv(e)
+        assert "11,0,-0\n" in text and "0,1,4.9406564584124654e-324\n" in text
+
+    def test_one_step_twelve_chains(self):
+        e = Ensemble(master_seed=0, values=np.array(self.EDGES[:4] * 3)[:, None])
+        assert e.n_chains == 12 and e.n_steps == 1
+        assert _written(e) == _rowwise_csv(e)
+
+    def test_sampled_chains_match_rowwise_oracle(self):
+        e = sample_ensemble(_sampler("qgaussian", q=0.5), 12, 40, 3)
+        assert _written(e) == _rowwise_csv(e)
+
+    def test_path_and_stream_sinks_agree(self, tmp_path):
+        e = sample_ensemble(_sampler("gaussian"), 12, 25, 5)
+        path = tmp_path / "chains.csv"
+        write_csv(e, path)
+        write_csv(e, str(tmp_path / "chains2.csv"))
+        assert path.read_bytes() == _written(e).encode()
+        assert (tmp_path / "chains2.csv").read_bytes() == path.read_bytes()
+
+
+def _loop_quantile(tables, y, u):
+    """Oracle: the per-row, per-factor loop formulation of the stencil."""
+    n_y, n_u = tables.quantiles.shape
+    pos = u * (n_u - 1)
+    iu = np.clip(pos.astype(np.int64), 0, n_u - 2)
+    fu = pos - iu
+    j0 = np.clip(np.searchsorted(tables.y_nodes, y) - 2, 0, n_y - 4)
+    x = np.zeros_like(y)
+    wsum = np.zeros_like(y)
+    yn = tables.y_nodes
+    for a in range(4):
+        ja = j0 + a
+        w = np.ones_like(y)
+        for b2 in range(4):
+            if b2 == a:
+                continue
+            jb = j0 + b2
+            w *= (y - yn[jb]) / (yn[ja] - yn[jb])
+        qa = tables.quantiles[ja, iu] * (1.0 - fu) + tables.quantiles[ja, iu + 1] * fu
+        x += w * qa
+        wsum += w
+    x /= wsum
+    return np.clip(x, -tables.support_radius, tables.support_radius)
+
+
+class TestConditionalQuantileStencil:
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.3, -0.5), (0.8, -0.9)])
+    def test_bit_identical_to_loop_oracle(self, rho, q):
+        tables = _sampler("qgaussian", rho=rho, q=q).conditional
+        s = tables.support_radius
+        rng = np.random.default_rng(11)
+        y = rng.uniform(-s, s, 10_000)
+        u = rng.random(10_000)
+        y[:6] = [-s, s, -s, s, 0.0, -0.0]
+        u[:6] = [0.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+        y[6:6 + tables.y_nodes.size] = tables.y_nodes  # stencil boundaries
+        got = _conditional_quantile(tables, y, u)
+        want = _loop_quantile(tables, y, u)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_denominator_table(self):
+        tables = _sampler("qgaussian", q=0.5).conditional
+        yn = tables.y_nodes
+        assert tables.stencil_den.shape == (yn.size - 3, 4, 3)
+        assert tables.stencil_den[10, 2].tolist() == [yn[12] - yn[10], yn[12] - yn[11],
+                                                     yn[12] - yn[13]]
+
+
+class TestSamplerRefusals:
+    def test_q_near_one_refused_by_name(self):
+        with pytest.raises(SamplerError, match=r"rho=0\.5, q=0\.99.*N=64.*tail_estimate"):
+            _sampler("qgaussian", rho=0.5, q=0.99)
+
+    @pytest.mark.parametrize("case", ["gaussian", "qgaussian", "twopoint"])
+    def test_nan_certificate_residual_refused(self, monkeypatch, case):
+        from qfields import simulate
+        monkeypatch.setattr(simulate, "stationarity_residual",
+                            lambda k, law, x: float("nan"))
+        with pytest.raises(SamplerError, match="certification"):
+            _sampler(case)
+
+    def test_one_nan_among_finite_residuals_refused(self, monkeypatch):
+        from qfields import simulate
+        residuals = iter([0.0, float("nan"), 0.0])
+        monkeypatch.setattr(simulate, "stationarity_residual",
+                            lambda k, law, x: next(residuals))
+        with pytest.raises(SamplerError, match="certification"):
+            _sampler("gaussian")
