@@ -41,6 +41,12 @@ CLASSIFY_DIGESTS = {
     "scaled": "3b92e72e7479908fa14e2debeaf3b42aa092504f5dd3ca181a1749404e257eaf",
 }
 
+# `verify --report` of the 16 x 400, seed-7 CSVs pinned above
+VERIFY_REPORT_DIGESTS = {
+    "gaussian": "9fe6a35982e9695c908c61dfe81d5c5829271affcb6e5ab6166571c9f06198c5",
+    (0.5, 0.5): "2f48077ffd58b16d7a20a4462c3b4fdd55c91de91c62ef1b4caba895ca346ea2",
+}
+
 CASE_PARAMS = {
     "gaussian": params.params_from_rho_q(0.5, 1.0),
     "twopoint": params.params_from_rho_b(0.5, 0.0),
@@ -102,3 +108,16 @@ def test_classify_json_bytes(case):
                             "--json"])
     assert rc == 0
     assert _sha(text) == CLASSIFY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", list(VERIFY_REPORT_DIGESTS))
+def test_verify_report_bytes(case, tmp_path):
+    fp, cfg = _case_setup(case)
+    csv, report = tmp_path / "chains.csv", tmp_path / "report.json"
+    write_csv(sample_ensemble(make_sampler(params.classify(fp), cfg), 16, 400, 7), csv)
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == CSV_DIGESTS[case]
+    rc, _ = _cli_stdout(["verify", "--in", str(csv), "--rho", repr(fp.rho),
+                         "--A", repr(fp.A), "--B", repr(fp.B), "--C", repr(fp.C),
+                         "--D", repr(fp.D), "--seed", "7", "--report", str(report)])
+    assert rc == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_REPORT_DIGESTS[case]
