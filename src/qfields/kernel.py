@@ -217,21 +217,21 @@ def _mehler_coeffs(k: MehlerQ) -> np.ndarray:
 def mehler_sum(k: MehlerQ, x, y) -> np.ndarray:
     """The bivariate series sum_{n<=N} rho^n Q_n(x) Q_n(y) / [n]_q!
     with shape (len(x), len(y))."""
-    return _mehler_sum_and_last(k, x, y)[0]
+    qx = qpoly.qhermite_table(x, k.q, k.truncation)
+    qy = qpoly.qhermite_table(y, k.q, k.truncation)
+    return (qx * _mehler_coeffs(k)[:, None]).T @ qy
 
 
 def _mehler_sum_and_last(k: MehlerQ, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Series sum plus a local tail envelope: the max magnitude over the
     trailing retained terms (individual polynomials pass through zeros, so a
     single last term underestimates the truncation wobble)."""
-    qx = qpoly.qhermite_table(x, k.q, k.truncation)
-    qy = qpoly.qhermite_table(y, k.q, k.truncation)
-    c = _mehler_coeffs(k)
-    total = (qx * c[:, None]).T @ qy
     tail_rows = slice(max(1, k.truncation - 7), k.truncation + 1)
-    env = np.abs(qx[tail_rows][:, :, None] * qy[tail_rows][:, None, :])
-    env *= np.abs(c[tail_rows])[:, None, None]
-    return total, env.max(axis=0)
+    qx = qpoly.qhermite_table(x, k.q, k.truncation)[tail_rows]
+    qy = qpoly.qhermite_table(y, k.q, k.truncation)[tail_rows]
+    env = np.abs(qx[:, :, None] * qy[:, None, :])
+    env *= np.abs(_mehler_coeffs(k)[tail_rows])[:, None, None]
+    return mehler_sum(k, x, y), env.max(axis=0)
 
 
 def transition_density(k: TransitionKernel, x, y: float):

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from threading import Lock
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import ndtri
 
 from .quadrature import QuadratureError, gl_nodes, integrate_adaptive, integrate_gaussian
 
@@ -38,6 +37,9 @@ __all__ = [
     "cdf_table",
     "sample",
 ]
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 
 class MeasureSpec:
@@ -72,6 +74,8 @@ class QGaussian(MeasureSpec):
 @dataclass(frozen=True)
 class StdGaussian(MeasureSpec):
     def draw(self, u) -> np.ndarray:
+        from scipy.special import ndtri
+
         return ndtri(np.maximum(u[0], np.finfo(float).tiny))
 
 
@@ -154,6 +158,12 @@ def _product_terms(q: float, tol: float) -> int:
     return k
 
 
+# the (k, theta) factor matrix is built in blocks of at most this many rows (k)
+# and about this many columns (theta)
+_K_BLOCK = 65536
+_COL_BLOCK = 512
+
+
 def _qg_log_weight(q: float, sin_theta: np.ndarray, tol: float) -> np.ndarray:
     """log of sin(theta) * prod(1-q^k) * prod((1-q^k)^2 + 4 q^k sin^2 theta)."""
     out = np.where(sin_theta > 0.0, np.log(np.maximum(sin_theta, 1e-300)), -np.inf)
@@ -161,13 +171,21 @@ def _qg_log_weight(q: float, sin_theta: np.ndarray, tol: float) -> np.ndarray:
     if kmax == 0:
         return out
     s2 = sin_theta * sin_theta
-    block = 65536
-    for start in range(1, kmax + 1, block):
-        ks = np.arange(start, min(start + block, kmax + 1))
-        qk = np.power(q, ks)
+    rows = []
+    for start in range(1, kmax + 1, _K_BLOCK):
+        qk = np.power(q, np.arange(start, min(start + _K_BLOCK, kmax + 1)))
         one_minus = 1.0 - qk
-        out = out + np.log(one_minus).sum()
-        out = out + np.log(one_minus[:, None] ** 2 + 4.0 * qk[:, None] * s2[None, :]).sum(axis=0)
+        rows.append((np.log(one_minus).sum(), one_minus[:, None] ** 2, 4.0 * qk[:, None]))
+    # near-equal column widths: NumPy sums a width-1 block pairwise, not row by
+    # row as it sums a wider one, so a width-1 tail would change the last bits
+    n, n_col = out.size, max(1, -(-out.size // _COL_BLOCK))
+    for c in range(n_col):
+        cols = slice(n * c // n_col, n * (c + 1) // n_col)
+        acc = out[cols]
+        for log_const, one_minus_sq, four_qk in rows:
+            acc = acc + log_const
+            acc = acc + np.log(one_minus_sq + four_qk * s2[None, cols]).sum(axis=0)
+        out[cols] = acc
     return out
 
 
@@ -280,6 +298,8 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
     vanishes like a square root at the endpoints, which the substitution
     renders smooth); monotone cubic interpolants both ways.
     """
+    from scipy.interpolate import PchipInterpolator
+
     if not isinstance(spec, QGaussian):
         raise ValueError("cdf_table requires a compactly supported continuous spec")
     if n_points < 129:

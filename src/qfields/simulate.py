@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import measure
 from .kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TransitionKernel,
@@ -186,6 +185,8 @@ _STENCIL_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CELLS,
                               n_u: int = _N_U) -> ConditionalTables:
+    from scipy.interpolate import PchipInterpolator
+
     spec = k.law
     s = 2.0 / math.sqrt(1.0 - k.q)
     y_nodes = theta_to_x(spec, np.linspace(0.0, math.pi, n_y))

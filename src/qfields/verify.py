@@ -100,9 +100,12 @@ def weak_form_residuals(e: Ensemble, p: FieldParams, degree: int = 4,
     lin = xm - a * (xp + xn)
     quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
                       + p.D * (xp + xn) + p.C)
+    # each power once per degree; g = xp^i * xn^j keeps the per-element operations
+    pp = [xp ** i for i in range(degree + 1)]
+    pn = [xn ** j for j in range(degree + 1)]
     out = []
     for (i, j) in _monomials(degree):
-        g = xp ** i * xn ** j
+        g = pp[i] * pn[j]
         out.append(_gate(f"weak_lin_x{i}y{j}",
                          f"E[(x_t - a(x_(t-1)+x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]",
                          (lin * g).mean(axis=1), threshold))

@@ -249,3 +249,31 @@ class TestRhoOnConstruction:
     def test_every_kernel_rejects_rho(self, make, rho):
         with pytest.raises(ValueError, match="rho"):
             make(rho)
+
+
+def _mehler_sum_and_envelope_joint(k, x, y):
+    """Series sum and tail envelope from one pair of tables, as mehler_sum
+    computed them before it became sum-only."""
+    qx = qpoly.qhermite_table(x, k.q, k.truncation)
+    qy = qpoly.qhermite_table(y, k.q, k.truncation)
+    c = kernel._mehler_coeffs(k)
+    total = (qx * c[:, None]).T @ qy
+    tail_rows = slice(max(1, k.truncation - 7), k.truncation + 1)
+    env = np.abs(qx[tail_rows][:, :, None] * qy[tail_rows][:, None, :])
+    env *= np.abs(c[tail_rows])[:, None, None]
+    return total, env.max(axis=0)
+
+
+class TestMehlerSumOnly:
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.3, -0.5), (0.8, 0.9)])
+    def test_sum_and_envelope_bitwise(self, rho, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            k = mehler_kernel(rho, q)
+        s = 2.0 / math.sqrt(1.0 - q)
+        x, y = np.linspace(-s, s, 301), np.linspace(-s, s, 65)
+        total, env = _mehler_sum_and_envelope_joint(k, x, y)
+        assert np.array_equal(kernel.mehler_sum(k, x, y), total)
+        got_total, got_env = kernel._mehler_sum_and_last(k, x, y)
+        assert np.array_equal(got_total, total)
+        assert np.array_equal(got_env, env)

@@ -258,3 +258,62 @@ class TestSampling:
         xs = sample(TwoPointSym(), rng, n)
         p_hat = (xs > 0).mean()
         assert abs(p_hat - 0.5) <= self.KS_999 / math.sqrt(n)
+
+
+def _qg_log_weight_unblocked(q, sin_theta, tol):
+    """The weight before column blocking: one (k, theta) factor matrix per
+    row block of 65536 k, summed over k in one go."""
+    out = np.where(sin_theta > 0.0, np.log(np.maximum(sin_theta, 1e-300)), -np.inf)
+    kmax = measure._product_terms(q, tol)
+    if kmax == 0:
+        return out
+    s2 = sin_theta * sin_theta
+    block = 65536
+    for start in range(1, kmax + 1, block):
+        ks = np.arange(start, min(start + block, kmax + 1))
+        qk = np.power(q, ks)
+        one_minus = 1.0 - qk
+        out = out + np.log(one_minus).sum()
+        out = out + np.log(one_minus[:, None] ** 2 + 4.0 * qk[:, None] * s2[None, :]).sum(axis=0)
+    return out
+
+
+class TestLogWeightBlocks:
+    """Column-blocked factor matrix: bit-identical to the one-matrix sum."""
+
+    W = measure._COL_BLOCK
+
+    @pytest.mark.parametrize("q", [-0.9, 0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, W - 1, W, W + 1, 2 * W + 1, 4097])
+    def test_bitwise_against_unblocked(self, q, n):
+        rng = np.random.default_rng(n)
+        sin_t = np.sin(np.sort(rng.random(n)) * math.pi)
+        sin_t[:min(n, 1)] = 0.0  # an endpoint of the support
+        got = measure._qg_log_weight(q, sin_t, 1e-12)
+        assert np.array_equal(got, _qg_log_weight_unblocked(q, sin_t, 1e-12))
+
+    def test_table_density_bitwise(self):
+        # the 4097-point CDF grid nodes and the 513-point density CLI grid
+        for q in (-0.9, 0.5, 0.99):
+            spec = QGaussian(q)
+            nodes, _ = measure.theta_cells(np.linspace(0.0, math.pi, 4097), 16)
+            sin_t = np.sin(nodes.ravel())
+            assert np.array_equal(measure._qg_log_weight(q, sin_t, 1e-12),
+                                  _qg_log_weight_unblocked(q, sin_t, 1e-12))
+            xs = measure.theta_to_x(spec, np.linspace(0.0, math.pi, 513))
+            theta = np.arccos(np.clip(xs / measure.support(spec)[1], -1.0, 1.0))
+            assert np.array_equal(measure._qg_log_weight(q, np.sin(theta), 1e-12),
+                                  _qg_log_weight_unblocked(q, np.sin(theta), 1e-12))
+
+    def test_memory_bounded_by_column_block(self):
+        # q = 0.99 needs ~3500 factors per node: the one-matrix form holds
+        # 3500 x 8192 doubles (230 MB); column blocks hold 3500 x 512 (14 MB)
+        import tracemalloc
+        sin_t = np.sin(np.linspace(0.0, math.pi, 8192))
+        tracemalloc.start()
+        try:
+            measure._qg_log_weight(0.99, sin_t, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6

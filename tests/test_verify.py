@@ -188,3 +188,32 @@ class TestGateCalibration:
             if any(not x.passed for x in entries):
                 bad += 1
         assert bad <= 5
+
+
+def _weak_form_unhoisted(e, p, degree):
+    """Per-chain weak-form means with each monomial's powers recomputed, as
+    before the powers were hoisted out of the monomial loop."""
+    v = e.values
+    xp, xm, xn = v[:, :-2], v[:, 1:-1], v[:, 2:]
+    a = p.rho / (1.0 + p.rho * p.rho)
+    lin = xm - a * (xp + xn)
+    quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
+                      + p.D * (xp + xn) + p.C)
+    out = []
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            g = xp ** i * xn ** j
+            out += [(lin * g).mean(axis=1), (quad * g).mean(axis=1)]
+    return out
+
+
+class TestWeakFormHoistedPowers:
+    @pytest.mark.parametrize("degree", [0, 1, 4])
+    def test_bitwise_against_unhoisted(self, gauss_ensemble, degree):
+        from qfields.verify import _gate
+        ref = [_gate("", "", m, 4.0) for m in
+               _weak_form_unhoisted(gauss_ensemble, GAUSS_POINT, degree)]
+        got = weak_form_residuals(gauss_ensemble, GAUSS_POINT, degree=degree)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert (g.estimate, g.stderr, g.passed) == (r.estimate, r.stderr, r.passed)
