@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from threading import Lock
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,9 +36,6 @@ __all__ = [
     "cdf_table",
     "sample",
 ]
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 
 class MeasureSpec:
@@ -246,6 +242,67 @@ def moment(spec: MeasureSpec, k: int, tol: float = 1e-10) -> float:
     raise TypeError(f"unknown spec {spec!r}")
 
 
+@dataclass(frozen=True)
+class Pchip:
+    """Monotone cubic Hermite interpolant (PCHIP, Fritsch-Carlson) on strictly
+    increasing breaks x; NaN outside [x[0], x[-1]] and at NaN.
+
+    ``c[:, i]`` holds the cubic, quadratic, linear and constant coefficients
+    of interval i in powers of (at - x[i]).  Built by ``pchip``; construction
+    and evaluation repeat SciPy's ``PchipInterpolator(x, y,
+    extrapolate=False)`` term for term, so the values are bit-identical.
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, at):
+        at = np.asarray(at, dtype=float)
+        x, c = self.x, self.c
+        inside = (x[0] <= at) & (at <= x[-1])  # False at NaN
+        # x[i] <= at < x[i+1]; the right end belongs to the last interval
+        i = np.where(inside, np.minimum(np.searchsorted(x, at, side="right") - 1,
+                                        x.size - 2), 0)
+        s = at - x[i]
+        ss = s * s
+        # SciPy's evaluate_poly1 order, lowest power first: the bits depend on it
+        val = ((0.0 + c[3, i]) + c[2, i] * s) + c[1, i] * ss + c[0, i] * (ss * s)
+        return np.where(inside, val, np.nan)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x: np.ndarray, y: np.ndarray) -> Pchip:
+    """PCHIP through (x, y): weighted harmonic means of the secant slopes
+    inside, one-sided end slopes.  Raises ValueError when a slope is not
+    finite; coefficients may overflow to inf where an interval is tiny."""
+    with np.errstate(all="ignore"):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if x.size == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d = np.concatenate(([_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
+                                [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+        if not np.all(np.isfinite(d)):
+            raise ValueError("PCHIP slopes are not finite")
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+    return Pchip(x, c)
+
+
 @dataclass
 class CdfTable:
     """Monotone CDF table over a cosine-spaced support grid.
@@ -257,8 +314,8 @@ class CdfTable:
     x: np.ndarray
     F: np.ndarray
     max_error: float
-    _cdf: PchipInterpolator
-    _quantile: PchipInterpolator
+    _cdf: Pchip
+    _quantile: Pchip
 
     def cdf(self, x):
         lo, hi = self.x[0], self.x[-1]
@@ -268,8 +325,11 @@ class CdfTable:
 
     def quantile(self, u):
         us = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        out = self._quantile(us)
-        out = np.clip(out, self.x[0], self.x[-1])
+        with np.errstate(invalid="ignore"):  # inf * 0 at a left break, pinned below
+            out = self._quantile(us)
+        # near q = 1 the first intervals of F are so short that their
+        # coefficients overflow; the left end is x[0] whatever they hold
+        out = np.clip(np.where(us <= 0.0, self.x[0], out), self.x[0], self.x[-1])
         return out if np.ndim(u) else float(out)
 
 
@@ -298,8 +358,6 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
     vanishes like a square root at the endpoints, which the substitution
     renders smooth); monotone cubic interpolants both ways.
     """
-    from scipy.interpolate import PchipInterpolator
-
     if not isinstance(spec, QGaussian):
         raise ValueError("cdf_table requires a compactly supported continuous spec")
     if n_points < 129:
@@ -324,11 +382,13 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
     F = np.maximum.accumulate(F)
     F[-1] = 1.0
     Fi, xi = _strictly_increasing(F, x_grid)
-    table = CdfTable(
-        x=x_grid, F=F, max_error=max_error,
-        _cdf=PchipInterpolator(x_grid, F, extrapolate=False),
-        _quantile=PchipInterpolator(Fi, xi, extrapolate=False),
-    )
+    try:
+        table = CdfTable(x=x_grid, F=F, max_error=max_error,
+                         _cdf=pchip(x_grid, F), _quantile=pchip(Fi, xi))
+    except ValueError:
+        raise ValueError(
+            f"CDF table of QGaussian(q={spec.q:g}) on n_points={n_points} has "
+            f"non-finite slopes: the mass near the support ends underflows") from None
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table

@@ -24,7 +24,7 @@ import numpy as np
 from . import measure
 from .kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TransitionKernel,
                      TwoPointChain, mehler_kernel, mehler_sum, stationarity_residual)
-from .measure import RadialLaw, theta_cells, theta_to_x, theta_weight
+from .measure import RadialLaw, pchip, theta_cells, theta_to_x, theta_weight
 from .params import Classification, ExistsGaussian, ExistsQGaussian, \
     ExistsScaledTwoPoint, ExistsTwoPointSymmetric
 
@@ -185,8 +185,6 @@ _STENCIL_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CELLS,
                               n_u: int = _N_U) -> ConditionalTables:
-    from scipy.interpolate import PchipInterpolator
-
     spec = k.law
     s = 2.0 / math.sqrt(1.0 - k.q)
     y_nodes = theta_to_x(spec, np.linspace(0.0, math.pi, n_y))
@@ -213,14 +211,14 @@ def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CEL
         Fj = F[:, j]
         keep = np.concatenate(([True], np.diff(Fj) > 0.0))
         try:
-            with np.errstate(divide="ignore"):  # reported below, not as a warning
-                quant[j] = PchipInterpolator(Fj[keep], x_edges[keep],
-                                             extrapolate=False)(u_grid)
-        except ValueError:  # non-finite slopes: the CDF has no usable increments
+            interp = pchip(Fj[keep], x_edges[keep])
+        except ValueError:  # the CDF has no usable increments
             raise SamplerError(
                 f"conditional tables at rho={k.rho:g}, q={k.q:g} have non-finite "
                 f"slopes: series truncated at N={k.truncation}, tail_estimate "
                 f"{k.tail_estimate:.3g}") from None
+        with np.errstate(invalid="ignore"):  # inf * 0 at u = 0, pinned below
+            quant[j] = interp(u_grid)
     quant[:, 0] = x_edges[0]
     quant[:, -1] = x_edges[-1]
     np.clip(quant, -s, s, out=quant)

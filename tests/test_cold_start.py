@@ -1,11 +1,11 @@
 """Cold start: SciPy stays off the import path of the package.
 
-Only ``sample`` (the PCHIP conditional and CDF tables, the Gaussian
-inverse-CDF draw) needs SciPy, and it imports it at those call sites.
-Importing the CLI and running ``classify``, ``kernel-check`` and ``verify``
-in a fresh interpreter must leave ``scipy`` out of ``sys.modules``; running
-``sample`` afterwards in the same interpreter must load it, so the check can
-tell the two apart.
+Only the Gaussian inverse-CDF draw (``ndtri``) needs SciPy, and it imports
+it at that call site; the q-Gaussian tables use the package's own PCHIP.
+Importing the CLI and running ``classify``, ``kernel-check``, ``verify`` and
+a q-Gaussian ``sample`` in a fresh interpreter must leave ``scipy`` out of
+``sys.modules``; a Gaussian ``sample`` afterwards in the same interpreter
+must load it, so the check can tell the two apart.
 """
 
 import json
@@ -25,7 +25,7 @@ import contextlib, io, json, sys
 import qfields, qfields.cli
 from qfields.cli import run
 
-csv, out_csv, verify_params = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+csv, out_dir, verify_params = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 
 def quiet(argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -39,8 +39,11 @@ state["rc"] = [
 ]
 state["cold"] = "scipy" in sys.modules
 state["rc"].append(quiet(["sample", "--rho", "0.5", "--q", "0.5", "--chains", "4",
-                          "--steps", "50", "--out", out_csv]))
+                          "--steps", "50", "--out", out_dir + "/q.csv"]))
 state["sample"] = "scipy" in sys.modules
+state["rc"].append(quiet(["sample", "--rho", "0.5", "--q", "1", "--chains", "4",
+                          "--steps", "50", "--out", out_dir + "/gauss.csv"]))
+state["gaussian"] = "scipy" in sys.modules
 print(json.dumps(state))
 """
 
@@ -55,12 +58,13 @@ def test_scipy_loaded_only_by_sample(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(csv), str(tmp_path / "out.csv"),
+        [sys.executable, "-c", CHILD, str(csv), str(tmp_path),
          json.dumps(verify_params)],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     state = json.loads(proc.stdout)
-    assert state["rc"] == [0, 0, 0, 0]
+    assert state["rc"] == [0, 0, 0, 0, 0]
     assert state["import"] is False
     assert state["cold"] is False
-    assert state["sample"] is True
+    assert state["sample"] is False
+    assert state["gaussian"] is True

@@ -179,6 +179,29 @@ class TestCdfTable:
             cdf_table(StdGaussian())
 
 
+class TestCdfTableNearQOne:
+    # q = 0.999 on the smallest grid: its weight product has ~3e4 factors
+    @pytest.mark.parametrize("q,n_points", [(0.99, 4097), (0.999, 129)])
+    def test_named_error(self, q, n_points):
+        with pytest.raises(ValueError, match=rf"q={q:g}\) on n_points={n_points}") as err:
+            cdf_table(QGaussian(q), n_points=n_points)
+        assert "dydx" not in str(err.value)
+
+    @pytest.mark.parametrize("q", [0.9, 0.95, 0.98, 0.985])
+    def test_quantile_finite_including_ends(self, q):
+        t = cdf_table(QGaussian(q))
+        u = np.concatenate(([0.0], np.linspace(0.0, 1.0, 1001), [1.0]))
+        x = t.quantile(u)
+        assert np.all(np.isfinite(x))
+        assert x[0] == t.quantile(0.0) == t.x[0]
+        assert np.all(np.diff(x) >= 0.0)
+
+    def test_pinned_left_end_is_the_interpolant_value(self):
+        # where the coefficients are finite the pin changes nothing
+        t = cdf_table(QGaussian(0.5))
+        assert t._quantile(0.0) == t.x[0] == t.quantile(0.0)
+
+
 class TestRadialLaw:
     def test_accepts_unit_second_moment(self):
         r = RadialLaw(values=(math.sqrt(2.0), 0.0), probs=(0.5, 0.5))

@@ -1,0 +1,137 @@
+"""Bitwise oracle: ``measure.pchip`` against SciPy's PchipInterpolator.
+
+The package's PCHIP repeats the arithmetic of
+``scipy.interpolate.PchipInterpolator(x, y, extrapolate=False)`` term for
+term, so the sampler tables built with it are bit-identical to the ones
+SciPy would build.  These tests hold it to that on the inputs the package
+produces (the conditional-table rows and both CDF-table directions), on
+out-of-range, endpoint and NaN evaluation points, on 2- and 3-point data,
+and on the rows near q = 1 where the slopes stop being finite.
+"""
+
+import numpy as np
+import pytest
+from scipy.interpolate import PchipInterpolator
+
+from qfields import measure, simulate
+from qfields.kernel import mehler_kernel
+from qfields.measure import QGaussian, cdf_table, pchip
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def assert_same_as_scipy(x, y, at):
+    """Both raise, or both build and agree bit for bit at ``at``."""
+    try:
+        with np.errstate(all="ignore"):
+            want = PchipInterpolator(x, y, extrapolate=False)
+    except ValueError:
+        with pytest.raises(ValueError):
+            pchip(x, y)
+        return False
+    with np.errstate(all="ignore"):
+        assert_bitwise(pchip(x, y)(at), want(at))
+    return True
+
+
+def _probes(x, rng):
+    """Random interior points, every break near both ends, points outside
+    the range on both sides, and NaN."""
+    lo, hi = x[0], x[-1]
+    return np.concatenate([rng.uniform(lo, hi, 400), x[:24], x[-24:],
+                           [lo - 1.0, hi + 1.0, np.nextafter(lo, -np.inf),
+                            np.nextafter(hi, np.inf), -np.inf, np.inf, np.nan]])
+
+
+def _recorded_rows(module, build, monkeypatch):
+    """The (x, y) data of every interpolant ``build()`` makes through
+    ``module.pchip``; data whose slopes are not finite is recorded too and
+    the build goes on past it (on a private table cache)."""
+    rows = []
+
+    def record(x, y):
+        rows.append((x, y))
+        try:
+            return pchip(x, y)
+        except ValueError:
+            return lambda at: np.full_like(at, np.nan)
+
+    monkeypatch.setattr(module, "pchip", record)
+    monkeypatch.setattr(measure, "_TABLE_CACHE", {})
+    build()
+    return rows
+
+
+def _conditional_rows(rho, q, monkeypatch):
+    return _recorded_rows(simulate, lambda: simulate._build_conditional_tables(
+        mehler_kernel(rho, q)), monkeypatch)
+
+
+def _cdf_rows(q, monkeypatch):
+    """[(x, F), (F, x)] of the CDF table: the cdf and quantile directions."""
+    return _recorded_rows(measure, lambda: cdf_table(QGaussian(q)), monkeypatch)
+
+
+@pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.8, -0.9), (0.3, 0.0), (0.95, 0.9),
+                                   (-0.5, 0.5), (0.8, 0.8), (0.5, -0.5)])
+def test_conditional_rows_bitwise(rho, q, monkeypatch):
+    rows = _conditional_rows(rho, q, monkeypatch)
+    assert len(rows) == simulate._N_Y
+    u_grid = np.linspace(0.0, 1.0, simulate._N_U)
+    for x, y in rows:
+        assert assert_same_as_scipy(x, y, u_grid)
+
+
+def test_conditional_rows_near_q_one_raise_alike(monkeypatch):
+    rows = _conditional_rows(0.5, 0.99, monkeypatch)
+    u_grid = np.linspace(0.0, 1.0, simulate._N_U)
+    built = [assert_same_as_scipy(x, y, u_grid) for x, y in rows]
+    assert not all(built)  # the refusal at q = 0.99 comes from these rows
+
+
+def test_tables_match_scipy_built_tables(monkeypatch):
+    want = simulate._build_conditional_tables(mehler_kernel(0.5, 0.5))
+    monkeypatch.setattr(simulate, "pchip",
+                        lambda x, y: PchipInterpolator(x, y, extrapolate=False))
+    got = simulate._build_conditional_tables(mehler_kernel(0.5, 0.5))
+    assert_bitwise(got.quantiles, want.quantiles)
+
+
+@pytest.mark.parametrize("q", [-0.9, 0.0, 0.5, 0.9, 0.98])
+def test_cdf_table_both_directions_bitwise(q, monkeypatch):
+    (x, F), (Fi, xi) = _cdf_rows(q, monkeypatch)
+    rng = np.random.default_rng(7)
+    assert assert_same_as_scipy(x, F, _probes(x, rng))
+    u = np.concatenate([_probes(Fi, rng), [0.0, 1.0, 1e-300, 5e-324]])
+    assert assert_same_as_scipy(Fi, xi, u)
+
+
+def test_cdf_table_near_q_one_raises_alike(monkeypatch):
+    built = [assert_same_as_scipy(x, y, np.linspace(x[0], x[-1], 101))
+             for x, y in _cdf_rows(0.99, monkeypatch)]
+    assert built == [True, False]  # the quantile direction's slopes overflow
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(12))
+def test_few_points_bitwise(n, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(-2.0, 2.0, n))
+    # monotone, non-monotone and flat data
+    y = [np.sort(rng.normal(size=n)), rng.normal(size=n), np.full(n, 0.5)][seed % 3]
+    assert assert_same_as_scipy(x, y, _probes(x, rng))
+
+
+def test_scalar_and_shape():
+    x, y = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 2.5])
+    f = pchip(x, y)
+    assert f(3.0).shape == ()
+    assert float(f(3.0)) == 2.5
+    assert np.isnan(f(3.5))
+    assert f(np.zeros((2, 3))).shape == (2, 3)

@@ -351,3 +351,16 @@ class TestSamplerRefusals:
                             lambda k, law, x: next(residuals))
         with pytest.raises(SamplerError, match="certification"):
             _sampler("gaussian")
+
+
+class TestNoNumericWarnings:
+    def test_first_draw_near_q_one_is_quiet(self, monkeypatch):
+        import warnings
+
+        from qfields import measure
+        monkeypatch.setattr(measure, "_TABLE_CACHE", {})  # build the CDF table here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _sampler("qgaussian", rho=0.5, q=0.98)
+            e = sample_ensemble(s, 2, 10, 42)
+        assert np.all(np.isfinite(e.values))
