@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernel as kernel_mod
 from . import measure, params, qpoly, verify
+from .quadrature import QuadratureError
 from .simulate import SamplerConfig, SamplerError, make_sampler, read_csv, \
     sample_ensemble, write_csv
 
@@ -394,7 +395,8 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (params.DegenerateDenominatorError, SamplerError, ValueError) as exc:
+    except (params.DegenerateDenominatorError, SamplerError, ValueError,
+            QuadratureError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

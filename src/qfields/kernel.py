@@ -3,9 +3,9 @@
 The compact continuous case uses the eigen-expansion kernel
 ``f(x|y) = f_q(x) * sum_n rho^n Q_n(x) Q_n(y) / [n]_q!``: the one-step
 conditional expectation maps Q_n to rho^n Q_n, which the residual operations
-certify by quadrature.  The Gaussian endpoint uses the closed-form AR(1)
-kernel, the discrete cases a 2x2 stochastic matrix (optionally scaled by a
-chain-constant radius).
+certify by a trapezoid ladder in theta that raises when it does not converge;
+the Gaussian endpoint uses the closed-form AR(1) kernel, the discrete cases a
+2x2 stochastic matrix (optionally scaled by a chain-constant radius).
 
 Truncation tails of the series are orthogonal to every retained polynomial
 direction, so the spectral residual checks integrate the raw truncated
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from threading import Lock
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import qpoly
 from .measure import QGaussian, RadialLaw, StdGaussian, MeasureSpec, ScaledTwoPoint, \
     TwoPointSym, density, theta_to_x, theta_weight
 from .params import FieldParams, _check_rho, regression_coeffs
-from .quadrature import gh_nodes, gl_nodes, integrate_gaussian
+from .quadrature import QuadratureError, gh_nodes, integrate_gaussian
 
 __all__ = [
     "TransitionKernel",
@@ -98,8 +97,6 @@ class MehlerQ(TransitionKernel):
     rho: float
     q: float
     truncation: int
-    tol: float
-    tol_neg: float
     tail_estimate: float
     clamp_stats: ClampStats = field(compare=False, repr=False, default_factory=ClampStats)
 
@@ -166,13 +163,13 @@ class ScaledTwoPointChain(_SignChain):
 
 
 _Q_WARN = 0.995
+_TOL = _TOL_NEG = 1e-9  # series truncation target; floor of the clamp threshold
 
 
-def mehler_kernel(rho: float, q: float, tol: float = 1e-9, tol_neg: float = 1e-9,
-                  truncation: int | None = None) -> MehlerQ:
+def mehler_kernel(rho: float, q: float, truncation: int | None = None) -> MehlerQ:
     """Build the eigen-expansion kernel, choosing the truncation order.
 
-    The order is the smallest N with |rho|^N * max|Q_N|^2 / [N]_q! below tol
+    The order is the smallest N with |rho|^N * max|Q_N|^2 / [N]_q! below _TOL
     on a support grid, capped at the polynomial degree limit.  The stored
     tail estimate is a conservative endpoint-supremum figure; pointwise
     evaluation clamps negatives against a tighter local envelope instead
@@ -195,7 +192,7 @@ def mehler_kernel(rho: float, q: float, tol: float = 1e-9, tol_neg: float = 1e-9
     if truncation is None:
         n_trunc = cap
         for n in range(4, cap):
-            if t[n] < tol and t[n + 1] <= t[n]:
+            if t[n] < _TOL and t[n + 1] <= t[n]:
                 n_trunc = n
                 break
     else:
@@ -205,8 +202,7 @@ def mehler_kernel(rho: float, q: float, tol: float = 1e-9, tol_neg: float = 1e-9
     # conservative endpoint-supremum tail bound; the pointwise clamp decision
     # uses a local last-term estimate instead (see transition_density)
     tail = float(t[n_trunc + 1:].sum() + t[cap] * abs(rho) / (1.0 - abs(rho)))
-    return MehlerQ(rho=rho, q=q, truncation=n_trunc, tol=tol,
-                   tol_neg=tol_neg, tail_estimate=tail)
+    return MehlerQ(rho=rho, q=q, truncation=n_trunc, tail_estimate=tail)
 
 
 def _mehler_coeffs(k: MehlerQ) -> np.ndarray:
@@ -236,7 +232,7 @@ def _mehler_sum_and_last(k: MehlerQ, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def transition_density(k: TransitionKernel, x, y: float):
     """Conditional density f(x | y); MehlerQ values are clamped at zero and
-    the clamped magnitude recorded, values below -tol_neg raise."""
+    the clamped magnitude recorded, values below -_TOL_NEG raise."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(k, GaussianAR1):
         out = _ar1_density(k, xs, y)
@@ -247,7 +243,7 @@ def transition_density(k: TransitionKernel, x, y: float):
         mask = out < 0.0
         if mask.any():
             r = abs(k.rho)
-            local = np.maximum(k.tol_neg, 10.0 * fq * last[:, 0] * r / (1.0 - r))
+            local = np.maximum(_TOL_NEG, 10.0 * fq * last[:, 0] * r / (1.0 - r))
             beyond = -out[mask] > local[mask]
             if beyond.any():
                 worst = float(out[mask][beyond].min())
@@ -268,36 +264,35 @@ def _ar1_density(k: GaussianAR1, x, y):
 
 # cached theta-space evaluation data per (q, truncation, node count)
 _THETA_CACHE: dict = {}
-_THETA_LOCK = Lock()
 _NODE_LADDER = (128, 256, 512, 1024, 2048)
+_LADDER_TOL = 1e-9
 
 
 def _theta_data(k: MehlerQ, n_nodes: int):
-    """Nodes x, weights w(theta) d(theta) and Q_0..Q_N(x) of one ladder rung."""
+    """Nodes x, weights w(theta) d(theta) and Q_0..Q_N(x) of one trapezoid rung,
+    which converges geometrically on even, 2 pi-periodic, analytic integrands."""
     key = (k.q, k.truncation, n_nodes)
-    with _THETA_LOCK:
-        hit = _THETA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    theta, w = gl_nodes(0.0, math.pi, n_nodes)
-    x = theta_to_x(k.law, theta)
-    data = (x, w * theta_weight(k.law, theta), qpoly.qhermite_table(x, k.q, k.truncation))
-    with _THETA_LOCK:
-        _THETA_CACHE.setdefault(key, data)
-    return data
+    if key not in _THETA_CACHE:
+        # theta_j = j pi / n, weight pi / n; the endpoints carry none: w vanishes with sin
+        theta = np.arange(1, n_nodes) * (math.pi / n_nodes)
+        x = theta_to_x(k.law, theta)
+        _THETA_CACHE[key] = (x, (math.pi / n_nodes) * theta_weight(k.law, theta),
+                             qpoly.qhermite_table(x, k.q, k.truncation))
+    return _THETA_CACHE[key]
 
 
-def _ladder(k: MehlerQ, rung, tol: float = 1e-9):
+def _ladder(k: MehlerQ, rung):
     """Node-doubling in theta: rung(x, wq, tab) on each size of _NODE_LADDER
-    until two sizes agree within tol; the last size's value otherwise."""
-    prev = None
-    for n_nodes in _NODE_LADDER:
-        val = rung(*_theta_data(k, n_nodes))
-        scale = max(1.0, float(np.max(np.abs(val))))
-        if prev is not None and np.max(np.abs(val - prev)) <= tol * scale:
-            break
+    until two sizes agree within _LADDER_TOL; QuadratureError if none do."""
+    vals = (rung(*_theta_data(k, n_nodes)) for n_nodes in _NODE_LADDER)
+    prev, diff = next(vals), math.inf
+    for val in vals:
+        diff = float(np.max(np.abs(val - prev)))
+        if diff <= _LADDER_TOL * max(1.0, float(np.max(np.abs(val)))):
+            return val
         prev = val
-    return val
+    raise QuadratureError(f"theta quadrature did not converge at rho={k.rho:g}, q={k.q:g}, "
+                          f"N={k.truncation} by {_NODE_LADDER[-1]} nodes", diff)
 
 
 def eigen_residual(k: TransitionKernel, n: int, y: float) -> float:
@@ -326,8 +321,7 @@ def stationary_spec(k: TransitionKernel) -> MeasureSpec:
     return k.law
 
 
-def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x: float,
-                          tol: float = 1e-9) -> float:
+def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x: float) -> float:
     """|integral f(x|y) d nu(y) - f_nu(x)| (continuous) or the total-variation
     mismatch of pi P vs pi (atomic; x selects nothing there)."""
     if spec != k.law:
@@ -335,7 +329,7 @@ def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x: float,
     if isinstance(k, MehlerQ):
         fx = density(spec, x)
         kx = _mehler_coeffs(k) * qpoly.qhermite_all(x, k.q, k.truncation)
-        val = _ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab)), tol)
+        val = _ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab)))
         return float(abs(val - fx))
     if isinstance(k, GaussianAR1):
         return abs(integrate_gaussian(lambda yv: _ar1_density(k, x, yv), n=160)
@@ -369,8 +363,7 @@ def two_point_matrix(rho: float) -> np.ndarray:
     return np.array([[stay, flip], [flip, stay]])
 
 
-def chapman_kolmogorov_residual(k: TransitionKernel, x: float, z: float,
-                                tol: float = 1e-9) -> float:
+def chapman_kolmogorov_residual(k: TransitionKernel, x: float, z: float) -> float:
     """|integral f(x|y) f(y|z) dy - f_2(x|z)| where f_2 is the kernel with
     rho^2 (same truncation, so the comparison isolates quadrature error)."""
     if isinstance(k, GaussianAR1):
@@ -382,13 +375,13 @@ def chapman_kolmogorov_residual(k: TransitionKernel, x: float, z: float,
         return abs(val - transition_density(k2, x, z))
     if not isinstance(k, MehlerQ):
         raise ValueError("Chapman-Kolmogorov check applies to continuous kernels")
-    k2 = mehler_kernel(k.rho * k.rho, k.q, tol=k.tol, truncation=k.truncation)
+    k2 = mehler_kernel(k.rho * k.rho, k.q, truncation=k.truncation)
     coeffs = _mehler_coeffs(k)
     fx = density(k.law, x)
     qx = qpoly.qhermite_all(x, k.q, k.truncation)
     qz = qpoly.qhermite_all(z, k.q, k.truncation)
     kx, kz = coeffs * qx, coeffs * qz
-    val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab) * (kz @ tab))), tol)
+    val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab) * (kz @ tab))))
     target = fx * float(_mehler_coeffs(k2) @ (qx * qz))
     return abs(val - target)
 

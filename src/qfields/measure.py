@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 
-from .quadrature import QuadratureError, gl_nodes, integrate_adaptive, integrate_gaussian
+from .qpoly import q_brackets
+from .quadrature import QuadratureError, gl_nodes, integrate_gaussian
 
 __all__ = [
     "MeasureSpec",
@@ -218,7 +218,7 @@ def theta_to_x(spec: QGaussian, theta: np.ndarray) -> np.ndarray:
     return -s * np.cos(theta)
 
 
-def moment(spec: MeasureSpec, k: int, tol: float = 1e-10) -> float:
+def moment(spec: MeasureSpec, k: int) -> float:
     """k-th moment; odd moments return exactly 0 by symmetry."""
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -235,10 +235,13 @@ def moment(spec: MeasureSpec, k: int, tol: float = 1e-10) -> float:
     if isinstance(spec, StdGaussian):
         return integrate_gaussian(lambda t: t ** k, n=max(32, k + 2))
     if isinstance(spec, QGaussian):
-        val, _ = integrate_adaptive(
-            lambda th: theta_to_x(spec, th) ** k * theta_weight(spec, th),
-            0.0, math.pi, tol=tol)
-        return val
+        # (J^k)_00 for x Q_n = Q_{n+1} + [n]_q Q_{n-1}: Dyck paths whose down-steps
+        # from height h weigh [h]_q (Flajolet 1980), all terms positive; v[h] sums
+        # the paths so far ending at height h (none above k/2 can return to 0)
+        br, v = q_brackets(k // 2, spec.q), np.eye(1, k // 2 + 1)[0]
+        for _ in range(k):
+            v = np.concatenate(([0.0], v[:-1])) + np.append(br[1:] * v[1:], 0.0)
+        return float(v[0])
     raise TypeError(f"unknown spec {spec!r}")
 
 
@@ -328,14 +331,15 @@ class CdfTable:
         with np.errstate(invalid="ignore"):  # inf * 0 at a left break, pinned below
             out = self._quantile(us)
         # near q = 1 the first intervals of F are so short that their
-        # coefficients overflow; the left end is x[0] whatever they hold
-        out = np.clip(np.where(us <= 0.0, self.x[0], out), self.x[0], self.x[-1])
+        # coefficients overflow, and F reaches 1 before the last grid points:
+        # the ends are x[0] and x[-1] whatever the interpolant holds there
+        out = np.where(us <= 0.0, self.x[0], np.where(us >= 1.0, self.x[-1], out))
+        out = np.clip(out, self.x[0], self.x[-1])
         return out if np.ndim(u) else float(out)
 
 
 _CELL_NODES = 16
 _TABLE_CACHE: dict = {}
-_TABLE_LOCK = Lock()
 
 
 def theta_cells(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +367,7 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
     if n_points < 129:
         raise ValueError("n_points must be at least 129")
     key = (spec, n_points, tol)
-    with _TABLE_LOCK:
-        cached = _TABLE_CACHE.get(key)
+    cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
 
@@ -389,8 +392,7 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
         raise ValueError(
             f"CDF table of QGaussian(q={spec.q:g}) on n_points={n_points} has "
             f"non-finite slopes: the mass near the support ends underflows") from None
-    with _TABLE_LOCK:
-        _TABLE_CACHE.setdefault(key, table)
+    _TABLE_CACHE[key] = table
     return table
 
 

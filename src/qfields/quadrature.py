@@ -1,9 +1,8 @@
-"""Quadrature helpers shared by the measure and kernel modules.
-
-Integrands here are smooth after the trigonometric substitution that
-absorbs the square-root vanishing of the compact densities, so node-doubling
-Gauss-Legendre converges spectrally; Gauss-Hermite handles the unbounded
-Gaussian cases exactly on polynomials.
+"""Quadrature helpers: Gauss-Legendre for the per-cell theta integrals of the
+CDF and conditional tables (and, node-doubling, the tests' oracle), where the
+substitution absorbs the square-root vanishing of the compact densities; the
+kernel's residual checks run their own trapezoid ladder in theta.
+Gauss-Hermite handles the unbounded Gaussian cases exactly on polynomials.
 """
 
 from __future__ import annotations
@@ -35,13 +34,6 @@ def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def integrate_fixed(f: Callable[[np.ndarray], np.ndarray],
-                    a: float, b: float, n: int = 256) -> float:
-    """Single fixed-order Gauss-Legendre pass; f must accept node arrays."""
-    x, w = gl_nodes(a, b, n)
-    return float(w @ np.asarray(f(x), dtype=float))
-
-
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
                        a: float, b: float,
                        tol: float = 1e-10,
@@ -50,13 +42,18 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
     """Node-doubling Gauss-Legendre with a Cauchy-difference error estimate.
 
     Returns (value, error_estimate); raises QuadratureError when doubling up
-    to n_max never brings consecutive passes within tol of each other.
+    to n_max never brings consecutive passes within tol of each other.  f
+    must accept node arrays.
     """
-    prev = integrate_fixed(f, a, b, n_start)
+    def fixed(n: int) -> float:
+        x, w = gl_nodes(a, b, n)
+        return float(w @ np.asarray(f(x), dtype=float))
+
+    prev = fixed(n_start)
     n = 2 * n_start
     est = np.inf
     while n <= n_max:
-        val = integrate_fixed(f, a, b, n)
+        val = fixed(n)
         est = abs(val - prev)
         if est <= tol * max(1.0, abs(val)):
             return val, est

@@ -27,6 +27,7 @@ from .kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TransitionKernel
 from .measure import RadialLaw, pchip, theta_cells, theta_to_x, theta_weight
 from .params import Classification, ExistsGaussian, ExistsQGaussian, \
     ExistsScaledTwoPoint, ExistsTwoPointSymmetric
+from .quadrature import QuadratureError
 
 __all__ = [
     "SamplerConfig",
@@ -113,7 +114,11 @@ class ChainSampler:
 def _certified(c: Classification, kern: TransitionKernel, probe_xs, step,
                conditional: ConditionalTables | None = None) -> ChainSampler:
     """The sampler of kern once its law passes the stationarity check at probe_xs."""
-    worst = float(np.max([stationarity_residual(kern, kern.law, x) for x in probe_xs]))
+    try:
+        worst = float(np.max([stationarity_residual(kern, kern.law, x) for x in probe_xs]))
+    except QuadratureError as exc:
+        raise SamplerError(f"stationarity certification at rho={kern.rho:g}, "
+                           f"q={kern.eigen_q:g} failed: {exc}") from None
     if not worst <= _STATIONARITY_CERT_TOL:  # a NaN residual fails too
         raise SamplerError(f"initial law failed stationarity certification "
                            f"(residual {worst:.3e})")

@@ -270,3 +270,14 @@ class TestSampleNearQOne:
         assert "rho" in err and "q" in err
         assert "dydx" not in err
         assert not out_path.exists()
+
+
+class TestKernelCheckNonConvergence:
+    def test_unconverged_ladder_exits_two_without_stdout(self, capsys):
+        for extra in ([], ["--json"]):
+            code, out, err = run_capture(capsys, ["kernel-check", "--rho", "0.5",
+                                                  "--q", "0.99", *extra])
+            assert code == 2
+            assert out == ""
+            assert "did not converge" in err
+            assert "rho=0.5" in err and "q=0.99" in err

@@ -1,4 +1,5 @@
-"""Cold start: SciPy stays off the import path of the package.
+"""Cold start: SciPy stays off the import path of the package, and
+``kernel-check`` builds no Gauss-Legendre nodes.
 
 Only the Gaussian inverse-CDF draw (``ndtri``) needs SciPy, and it imports
 it at that call site; the q-Gaussian tables use the package's own PCHIP.
@@ -68,3 +69,24 @@ def test_scipy_loaded_only_by_sample(tmp_path):
     assert state["cold"] is False
     assert state["sample"] is False
     assert state["gaussian"] is True
+
+
+LEGGAUSS_CHILD = r"""
+import contextlib, io, sys
+from qfields import quadrature
+from qfields.cli import run
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = run(["kernel-check", "--rho", "0.5", "--q", "0.5"])
+print(rc, quadrature._leggauss.cache_info().currsize)
+"""
+
+
+def test_kernel_check_builds_no_gauss_legendre_nodes():
+    # the residual ladder runs the trapezoid rule in theta
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", LEGGAUSS_CHILD],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]

@@ -277,3 +277,28 @@ class TestMehlerSumOnly:
         got_total, got_env = kernel._mehler_sum_and_last(k, x, y)
         assert np.array_equal(got_total, total)
         assert np.array_equal(got_env, env)
+
+
+class TestTrapezoidLadder:
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.8, -0.9), (0.95, 0.9), (0.3, 0.98)])
+    def test_expect_matches_gauss_legendre_oracle(self, rho, q):
+        from qfields.quadrature import integrate_adaptive
+        k = mehler_kernel(rho, q)
+        s = QGaussian(q)
+        g = lambda x: np.vstack([np.ones_like(x), x, x * x, qpoly.qhermite_table(x, q, 3)[3]])
+        for y in (-0.7 * measure.support(s)[1], 0.0, 0.4 * measure.support(s)[1]):
+            got = k.expect(y, g)
+            for row, val in enumerate(got):
+                ref, _ = integrate_adaptive(
+                    lambda th: g(measure.theta_to_x(s, th))[row] * measure.theta_weight(s, th)
+                    * kernel.mehler_sum(k, measure.theta_to_x(s, th), np.array([y]))[:, 0],
+                    0.0, math.pi, tol=1e-12)
+                assert val == pytest.approx(ref, abs=1e-10)
+
+    def test_unconverged_ladder_raises(self):
+        from qfields.quadrature import QuadratureError
+        k = mehler_kernel(0.5, 0.99)
+        y = 0.8 * measure.support(k.law)[1]  # no two rungs agree here
+        with pytest.raises(QuadratureError, match=r"rho=0\.5, q=0\.99, N=64 by 2048") as err:
+            eigen_residual(k, 0, y)
+        assert err.value.estimate > 1e-9

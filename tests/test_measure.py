@@ -111,6 +111,19 @@ class TestMoment:
         with pytest.raises(ValueError):
             moment(QGaussian(0.0), 18)
 
+    def test_semicircle_catalan_exact(self):
+        for k in range(0, 9):
+            assert moment(QGaussian(0.0), 2 * k) == _catalan(k)
+
+    @pytest.mark.parametrize("q", [-0.9, -0.5, 0.0, 0.5, 0.9, 0.98])
+    def test_matches_quadrature_oracle(self, q):
+        s = QGaussian(q)
+        for k in range(2, 17, 2):
+            quad, _ = integrate_adaptive(
+                lambda th: measure.theta_to_x(s, th) ** k * measure.theta_weight(s, th),
+                0.0, math.pi, tol=1e-12)
+            assert moment(s, k) == pytest.approx(quad, rel=1e-12)
+
 
 def _catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
@@ -195,6 +208,12 @@ class TestCdfTableNearQOne:
         assert np.all(np.isfinite(x))
         assert x[0] == t.quantile(0.0) == t.x[0]
         assert np.all(np.diff(x) >= 0.0)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.98])
+    def test_quantile_reaches_right_end(self, q):
+        t = cdf_table(QGaussian(q))
+        assert t.quantile(1.0) == t.x[-1]
+        assert t.quantile(np.array([0.0, 1.0])).tolist() == [t.x[0], t.x[-1]]
 
     def test_pinned_left_end_is_the_interpolant_value(self):
         # where the coefficients are finite the pin changes nothing

@@ -352,6 +352,12 @@ class TestSamplerRefusals:
         with pytest.raises(SamplerError, match="certification"):
             _sampler("gaussian")
 
+    def test_unconverged_certificate_refused_by_name(self, monkeypatch):
+        from qfields import kernel
+        monkeypatch.setattr(kernel, "_NODE_LADDER", (128,))  # no two rungs to agree
+        with pytest.raises(SamplerError, match=r"rho=0\.5, q=0\.5.*did not converge"):
+            _sampler("qgaussian", rho=0.5, q=0.5)
+
 
 class TestNoNumericWarnings:
     def test_first_draw_near_q_one_is_quiet(self, monkeypatch):
