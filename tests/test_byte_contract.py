@@ -29,9 +29,9 @@ CSV_DIGESTS = {
 }
 
 KERNEL_CHECK_DIGESTS = {
-    (0.5, 0.5): "011c4dec9d51c35cca856af5a9870770dbcbe9f8472ade829a1c056d53cb3f6f",
-    (-0.8, -0.9): "16f177efbd35f6c322fcf5f3fda28cdcb53b3a7ef648c617ac15be3c9ebbc5ef",
-    (0.95, 0.9): "f36013c7755e6688e218d35094c0978f06a9b923b2ad45a7f245d82101c9239b",
+    (0.5, 0.5): "706996814bf95ef5f868d7fd10a7e264c6177b3e6d00b16d6d7d97e062321e1d",
+    (-0.8, -0.9): "e3b968d06749c01b23db1453f78c268f26483362da1253c64a54e7ab078d650b",
+    (0.95, 0.9): "c24778068346e14dd9c771aeb0f3db0d7ae34e63d2eafbd46ffaa0f95f5a8048",
     (0.5, 1.0): "b3f33fec691542e142e67a20f5c33c98160892454489817d050384ddfa3358f6",
 }
 
