@@ -273,7 +273,7 @@ def _theta_data(k: MehlerQ, n_nodes: int):
     which converges geometrically on even, 2 pi-periodic, analytic integrands."""
     key = (k.q, k.truncation, n_nodes)
     if key not in _THETA_CACHE:
-        # theta_j = j pi / n, weight pi / n; the endpoints carry none: w vanishes with sin
+        # theta_j = j pi / n, weight pi / n; the endpoints carry none: w vanishes with sin(theta)
         theta = np.arange(1, n_nodes) * (math.pi / n_nodes)
         x = theta_to_x(k.law, theta)
         _THETA_CACHE[key] = (x, (math.pi / n_nodes) * theta_weight(k.law, theta),

@@ -116,9 +116,8 @@ def _certified(c: Classification, kern: TransitionKernel, probe_xs, step,
     """The sampler of kern once its law passes the stationarity check at probe_xs."""
     try:
         worst = float(np.max([stationarity_residual(kern, kern.law, x) for x in probe_xs]))
-    except QuadratureError as exc:
-        raise SamplerError(f"stationarity certification at rho={kern.rho:g}, "
-                           f"q={kern.eigen_q:g} failed: {exc}") from None
+    except QuadratureError as exc:  # the message names rho and q
+        raise SamplerError(f"initial law failed stationarity certification: {exc}") from None
     if not worst <= _STATIONARITY_CERT_TOL:  # a NaN residual fails too
         raise SamplerError(f"initial law failed stationarity certification "
                            f"(residual {worst:.3e})")

@@ -355,7 +355,8 @@ class TestSamplerRefusals:
     def test_unconverged_certificate_refused_by_name(self, monkeypatch):
         from qfields import kernel
         monkeypatch.setattr(kernel, "_NODE_LADDER", (128,))  # no two rungs to agree
-        with pytest.raises(SamplerError, match=r"rho=0\.5, q=0\.5.*did not converge"):
+        with pytest.raises(SamplerError,
+                           match=r"certification.*did not converge at rho=0\.5, q=0\.5"):
             _sampler("qgaussian", rho=0.5, q=0.5)
 
 
