@@ -154,10 +154,10 @@ def _product_terms(q: float, tol: float) -> int:
     return k
 
 
-# the (k, theta) factor matrix is built in blocks of at most this many rows (k)
-# and about this many columns (theta)
-_K_BLOCK = 65536
-_COL_BLOCK = 512
+# the (k, theta) factor matrix is built in blocks of at most _K_BLOCK rows (k) and
+# about _COL_BLOCK columns (theta), fewer past _BLOCK_FACTORS factors: temporaries
+# stay near 1 MB whatever q, so peak memory does not hang on where they land
+_K_BLOCK, _COL_BLOCK, _BLOCK_FACTORS = 65536, 512, 1 << 17
 
 
 def _qg_log_weight(q: float, sin_theta: np.ndarray, tol: float) -> np.ndarray:
@@ -172,9 +172,10 @@ def _qg_log_weight(q: float, sin_theta: np.ndarray, tol: float) -> np.ndarray:
         qk = np.power(q, np.arange(start, min(start + _K_BLOCK, kmax + 1)))
         one_minus = 1.0 - qk
         rows.append((np.log(one_minus).sum(), one_minus[:, None] ** 2, 4.0 * qk[:, None]))
-    # near-equal column widths: NumPy sums a width-1 block pairwise, not row by
-    # row as it sums a wider one, so a width-1 tail would change the last bits
-    n, n_col = out.size, max(1, -(-out.size // _COL_BLOCK))
+    # near-equal column widths, at least 2 as width >= 4: NumPy sums a width-1 block
+    # pairwise, not row by row as it sums a wider one, which changes the last bits
+    width = max(4, min(_COL_BLOCK, _BLOCK_FACTORS // min(kmax, _K_BLOCK)))
+    n, n_col = out.size, max(1, -(-out.size // width))
     for c in range(n_col):
         cols = slice(n * c // n_col, n * (c + 1) // n_col)
         acc = out[cols]

@@ -359,3 +359,17 @@ class TestLogWeightBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_block_temporaries_bounded_by_factor_count(self, q):
+        # near q = 1 a block narrows so that it holds about _BLOCK_FACTORS
+        # factors (1 MB); 512 columns of 3500 factors at q = 0.99 held 14 MB
+        import tracemalloc
+        sin_t = np.sin(np.linspace(0.0, math.pi, 8192))
+        tracemalloc.start()
+        try:
+            measure._qg_log_weight(q, sin_t, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
