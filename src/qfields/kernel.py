@@ -375,14 +375,15 @@ def chapman_kolmogorov_residual(k: TransitionKernel, x: float, z: float) -> floa
         return abs(val - transition_density(k2, x, z))
     if not isinstance(k, MehlerQ):
         raise ValueError("Chapman-Kolmogorov check applies to continuous kernels")
-    k2 = mehler_kernel(k.rho * k.rho, k.q, truncation=k.truncation)
     coeffs = _mehler_coeffs(k)
+    coeffs2 = (k.rho * k.rho) ** np.arange(k.truncation + 1) / qpoly.q_factorials(
+        k.truncation, k.q)
     fx = density(k.law, x)
     qx = qpoly.qhermite_all(x, k.q, k.truncation)
     qz = qpoly.qhermite_all(z, k.q, k.truncation)
     kx, kz = coeffs * qx, coeffs * qz
     val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab) * (kz @ tab))))
-    target = fx * float(_mehler_coeffs(k2) @ (qx * qz))
+    target = fx * float(coeffs2 @ (qx * qz))
     return abs(val - target)
 
 

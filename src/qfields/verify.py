@@ -9,11 +9,18 @@ chain-level sample deviation over sqrt(n_chains); in-chain samples are never
 pooled without that batching.  An estimate passes when it lies within
 ``threshold`` standard errors of zero; identically-zero residuals (identities
 that hold pointwise) report a zero standard error and pass exactly.
+
+The per-chain statistics are computed on blocks of whole chains (about 2^15
+values per temporary), so the suite's memory is bounded by the block, not by
+the ensemble.  A chain is never split: each per-chain mean is NumPy's pairwise
+sum along one row, so the blocked statistics, and the report bytes, are
+exactly those of the unblocked formulas.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 4.0
+# values per temporary in one block of whole chains (see _by_rows)
+_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -61,19 +70,27 @@ def _gate(test_id: str, statistic: str, per_chain: np.ndarray,
                      passed=bool(abs(est) <= threshold * se))
 
 
+def _by_rows(v: np.ndarray, stats) -> list[np.ndarray]:
+    """Apply ``stats`` to consecutive blocks of whole chains (rows of ``v``)
+    and concatenate each per-chain column it returns over the blocks."""
+    rows = max(1, _BLOCK_ELEMENTS // v.shape[1])
+    blocks = [stats(v[r:r + rows]) for r in range(0, v.shape[0], rows)]
+    return [np.concatenate(col) for col in zip(*blocks)]
+
+
 def empirical_corr(e: Ensemble, rho: float, k_max: int = 5,
                    threshold: float = DEFAULT_THRESHOLD) -> list[TestEntry]:
     """Lag-k cross moments against rho^k, k = 1..k_max (standardized scale,
     so no per-chain studentizing; lag 0 is identically 1 and not gated)."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     if not k_max < e.n_steps / 10:
         raise ValueError("k_max must be below n_steps / 10")
-    v = e.values
-    out = []
-    for k in range(1, k_max + 1):
-        per_chain = (v[:, :-k] * v[:, k:]).mean(axis=1) - rho ** k
-        out.append(_gate(f"corr_k{k}", f"E[x_t x_(t+{k})] - rho^{k}",
-                         per_chain, threshold))
-    return out
+    lags = _by_rows(e.values, lambda vb: [(vb[:, :-k] * vb[:, k:]).mean(axis=1)
+                                          for k in range(1, k_max + 1)])
+    return [_gate(f"corr_k{k}", f"E[x_t x_(t+{k})] - rho^{k}",
+                  lag - rho ** k, threshold)
+            for k, lag in enumerate(lags, start=1)]
 
 
 def _monomials(degree: int):
@@ -90,28 +107,35 @@ def weak_form_residuals(e: Ensemble, p: FieldParams, degree: int = 4,
     functions up to the requested degree are a practical, not a complete,
     separating class.
     """
-    if degree > 4:
-        raise ValueError("degree must be <= 4")
-    v = e.values
+    if not 0 <= degree <= 4:
+        raise ValueError("degree must be in [0, 4]")
     if e.n_steps < 3:
         raise ValueError("need at least 3 steps for interior triples")
-    xp, xm, xn = v[:, :-2], v[:, 1:-1], v[:, 2:]
     a = p.rho / (1.0 + p.rho * p.rho)
-    lin = xm - a * (xp + xn)
-    quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
-                      + p.D * (xp + xn) + p.C)
-    # each power once per degree; g = xp^i * xn^j keeps the per-element operations
-    pp = [xp ** i for i in range(degree + 1)]
-    pn = [xn ** j for j in range(degree + 1)]
+    monomials = _monomials(degree)
+
+    def stats(vb):
+        xp, xm, xn = vb[:, :-2], vb[:, 1:-1], vb[:, 2:]
+        lin = xm - a * (xp + xn)
+        quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
+                          + p.D * (xp + xn) + p.C)
+        # each power once per block; x_(t-1)^i and x_(t+1)^j are its two slices
+        pw = [vb ** i for i in range(degree + 1)]
+        cols = []
+        for (i, j) in monomials:
+            g = pw[i][:, :-2] * pw[j][:, 2:]
+            cols += [(lin * g).mean(axis=1), (quad * g).mean(axis=1)]
+        return cols
+
+    cols = iter(_by_rows(e.values, stats))
     out = []
-    for (i, j) in _monomials(degree):
-        g = pp[i] * pn[j]
+    for (i, j) in monomials:
         out.append(_gate(f"weak_lin_x{i}y{j}",
                          f"E[(x_t - a(x_(t-1)+x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]",
-                         (lin * g).mean(axis=1), threshold))
+                         next(cols), threshold))
         out.append(_gate(f"weak_quad_x{i}y{j}",
                          f"E[(x_t^2 - Q(x_(t-1),x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]",
-                         (quad * g).mean(axis=1), threshold))
+                         next(cols), threshold))
     return out
 
 
@@ -120,30 +144,35 @@ def martingale_residuals(e: Ensemble, rho: float, q: float, n_max: int = 4,
                          threshold: float = DEFAULT_THRESHOLD) -> list[TestEntry]:
     """Gates E[(Q_n(X_{t+1}) - rho^n Q_n(X_t)) Q_m(X_t)] for n = 1..n_max,
     m = 0..m_max, with the polynomials built at the supplied q."""
-    if n_max > 8 or m_max > 8:
-        raise ValueError("polynomial degrees above 8 are outside the contract")
-    deg = max(n_max, m_max, 1)
-    v = e.values
-    tabs = qpoly.qhermite_table(v.ravel(), q, deg)
-    tabs = tabs.reshape(deg + 1, *v.shape)
-    out = []
-    for n in range(1, n_max + 1):
-        resid = tabs[n][:, 1:] - rho ** n * tabs[n][:, :-1]
-        for m in range(0, m_max + 1):
-            per_chain = (resid * tabs[m][:, :-1]).mean(axis=1)
-            out.append(_gate(f"mart_n{n}_m{m}",
-                             f"E[(Q_{n}(x_(t+1)) - rho^{n} Q_{n}(x_t)) Q_{m}(x_t)]",
-                             per_chain, threshold))
-    return out
+    if not 1 <= n_max <= 8:
+        raise ValueError("n_max must be in [1, 8]")
+    if not 0 <= m_max <= 8:
+        raise ValueError("m_max must be in [0, 8]")
+    deg = max(n_max, m_max)
+
+    def stats(vb):
+        tabs = qpoly.qhermite_table(vb.ravel(), q, deg).reshape(deg + 1, *vb.shape)
+        cols = []
+        for n in range(1, n_max + 1):
+            resid = tabs[n][:, 1:] - rho ** n * tabs[n][:, :-1]
+            cols += [(resid * tabs[m][:, :-1]).mean(axis=1) for m in range(m_max + 1)]
+        return cols
+
+    cols = iter(_by_rows(e.values, stats))
+    return [_gate(f"mart_n{n}_m{m}",
+                  f"E[(Q_{n}(x_(t+1)) - rho^{n} Q_{n}(x_t)) Q_{m}(x_t)]",
+                  next(cols), threshold)
+            for n in range(1, n_max + 1) for m in range(m_max + 1)]
 
 
 def symmetry_checks(e: Ensemble,
                     threshold: float = DEFAULT_THRESHOLD) -> list[TestEntry]:
     """Gates the first and third moments near zero."""
-    v = e.values
+    mean, third = _by_rows(e.values, lambda vb: [vb.mean(axis=1),
+                                                 (vb ** 3).mean(axis=1)])
     return [
-        _gate("sym_mean", "E[x]", v.mean(axis=1), threshold),
-        _gate("sym_third", "E[x^3]", (v ** 3).mean(axis=1), threshold),
+        _gate("sym_mean", "E[x]", mean, threshold),
+        _gate("sym_third", "E[x^3]", third, threshold),
     ]
 
 
@@ -160,6 +189,8 @@ def standard_suite(e: Ensemble, p: FieldParams, c: Classification,
     moment is chain-constant there, so higher rows are genuinely biased for
     non-degenerate radial laws) and the suite gates only that row.
     """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError("threshold must be finite and > 0")
     entries = empirical_corr(e, p.rho, k_max=k_max, threshold=threshold)
     entries += weak_form_residuals(e, p, degree=degree, threshold=threshold)
     entries += symmetry_checks(e, threshold=threshold)

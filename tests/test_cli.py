@@ -167,6 +167,20 @@ class TestSampleVerify:
         rep = json.loads(out)
         assert rep["summary"]["n_fail"] >= 1
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--kmax", "0", "k_max"), ("--degree", "-1", "degree"), ("--nmax", "0", "n_max"),
+        ("--mmax", "-1", "m_max"), ("--mult", "-1", "threshold"),
+        ("--mult", "nan", "threshold")])
+    def test_verify_degenerate_battery_exit_two(self, capsys, tmp_path, flag, value, name):
+        csv_path = tmp_path / "g.csv"
+        run_capture(capsys, ["sample", "--rho", "0.5", "--case", "gaussian", "--chains", "30",
+                             "--steps", "400", "--seed", "7", "--out", str(csv_path)])
+        code, out, err = run_capture(
+            capsys, ["verify", "--in", str(csv_path), *GAUSS_ARGS, flag, value])
+        assert code == 2
+        assert out == ""
+        assert name in err
+
     def test_sample_config_file(self, capsys, tmp_path):
         cfg = {"rho": 0.5, "case": "scaled",
                "radial": [[math.sqrt(2.0), 0.5], [0.0, 0.5]],

@@ -1,9 +1,11 @@
 import io
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from qfields.params import FieldParams, classify
+from qfields.params import FieldParams, classify, params_from_rho_q
 from qfields.simulate import Ensemble, SamplerConfig, make_sampler, sample_ensemble
 from qfields.verify import (build_report, empirical_corr, load_report,
                             martingale_residuals, n_failures, report_json,
@@ -217,3 +219,90 @@ class TestWeakFormHoistedPowers:
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert (g.estimate, g.stderr, g.passed) == (r.estimate, r.stderr, r.passed)
+
+
+def _unblocked_per_chain(e, p, q, degree, n_max, m_max):
+    """Per-chain arrays of the four batteries computed on the whole ensemble at
+    once, in battery order (corr lags 1..5, weak form, symmetry, eigen rows)."""
+    from qfields import qpoly
+    v = e.values
+    cols = [(v[:, :-k] * v[:, k:]).mean(axis=1) - p.rho ** k for k in range(1, 6)]
+    xp, xm, xn = v[:, :-2], v[:, 1:-1], v[:, 2:]
+    a = p.rho / (1.0 + p.rho * p.rho)
+    lin = xm - a * (xp + xn)
+    quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
+                      + p.D * (xp + xn) + p.C)
+    pp = [xp ** i for i in range(degree + 1)]
+    pn = [xn ** j for j in range(degree + 1)]
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            g = pp[i] * pn[j]
+            cols += [(lin * g).mean(axis=1), (quad * g).mean(axis=1)]
+    cols += [v.mean(axis=1), (v ** 3).mean(axis=1)]
+    deg = max(n_max, m_max, 1)
+    tabs = qpoly.qhermite_table(v.ravel(), q, deg).reshape(deg + 1, *v.shape)
+    for n in range(1, n_max + 1):
+        resid = tabs[n][:, 1:] - p.rho ** n * tabs[n][:, :-1]
+        cols += [(resid * tabs[m][:, :-1]).mean(axis=1) for m in range(m_max + 1)]
+    return cols
+
+
+class TestBlockedStatistics:
+    """The suite computes its per-chain statistics on blocks of whole chains;
+    every estimate and standard error must equal the unblocked formulas bit
+    for bit, across partial blocks and one-chain blocks."""
+
+    @pytest.mark.parametrize("n_chains,n_steps", [(1, 3001), (7, 3001), (13, 3001),
+                                                  (3, 40000)])
+    def test_bitwise_against_unblocked(self, n_chains, n_steps):
+        p = params_from_rho_q(0.5, 0.5)
+        c = classify(p)
+        rng = np.random.default_rng(n_chains * n_steps)
+        e = Ensemble(master_seed=0, values=rng.standard_normal((n_chains, n_steps)))
+        got = standard_suite(e, p, c)
+        ref = _unblocked_per_chain(e, p, c.eigen_q, degree=4, n_max=4, m_max=4)
+        assert len(got) == len(ref) == 57
+        for entry, col in zip(got, ref):
+            est = float(col.mean())
+            se = float(col.std(ddof=1) / np.sqrt(col.size)) if col.size > 1 else 0.0
+            assert entry.estimate == est, entry.test_id
+            assert entry.stderr == se, entry.test_id
+
+    def test_traced_peak_memory_bounded(self):
+        p = params_from_rho_q(0.5, 0.5)
+        c = classify(p)
+        e = Ensemble(master_seed=0,
+                     values=np.random.default_rng(5).standard_normal((200, 5000)))
+        tracemalloc.start()
+        try:
+            standard_suite(e, p, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+class TestDegenerateBatteries:
+    """A battery with no gates left would report a silent pass."""
+
+    def test_k_max_below_one(self, gauss_ensemble):
+        with pytest.raises(ValueError, match="k_max"):
+            empirical_corr(gauss_ensemble, 0.5, k_max=0)
+
+    def test_negative_degree(self, gauss_ensemble):
+        with pytest.raises(ValueError, match="degree"):
+            weak_form_residuals(gauss_ensemble, GAUSS_POINT, degree=-1)
+
+    def test_n_max_below_one(self, gauss_ensemble):
+        with pytest.raises(ValueError, match="n_max"):
+            martingale_residuals(gauss_ensemble, 0.5, 1.0, n_max=0)
+
+    def test_negative_m_max(self, gauss_ensemble):
+        with pytest.raises(ValueError, match="m_max"):
+            martingale_residuals(gauss_ensemble, 0.5, 1.0, m_max=-1)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_not_finite_positive(self, gauss_ensemble, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            standard_suite(gauss_ensemble, GAUSS_POINT, classify(GAUSS_POINT),
+                           threshold=threshold)
