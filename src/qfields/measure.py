@@ -8,8 +8,10 @@ scaled two-point laws R*Y with a user-supplied radial part.
 
 Densities are evaluated through the angle theta = arccos(x / S) with
 S = 2/sqrt(1-q): in theta the density is sin(theta) times an infinite
-product, every factor of which is accumulated in log space so extreme q
-stays finite.
+product, a Jacobi theta function.  Below q = _JACOBI_Q (all q < 0 included)
+the product is summed factor by factor in log space; at and above it the
+number of factors grows like 1/(1-q), and Jacobi's imaginary transformation
+gives the log weight in closed form instead, a few terms per node whatever q.
 """
 
 from __future__ import annotations
@@ -186,6 +188,39 @@ def _qg_log_weight(q: float, sin_theta: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
+# from this q up the log weight is _jacobi_log_weight, below it _qg_log_weight.  The
+# closed form is the more accurate of the two from q = 0.3 up (6e-16 against 3e-15 to
+# 5e-14, relative to the product summed in 80-bit long double) and at least 15 times
+# faster from q = 0.5 up; 0.75 keeps every q <= 0.7, and with it every pinned sampler
+# and kernel-check digest at q <= 0.5, on the product
+_JACOBI_Q = 0.75
+
+
+def _jacobi_log_weight(q: float, theta: np.ndarray) -> np.ndarray:
+    """log of the same weight at theta in [0, pi/2] by Jacobi's imaginary
+    transformation: with beta = -ln q it is sqrt(pi/(2 beta)) exp(beta/8) times
+    sum_m (-1)^m exp(-2(theta - pi/2 + pi m)^2 / beta), of which m = 0, 1, -1, 2
+    are kept; the rest are below exp(-4 pi^2 / beta) relative (e^-137 at q = 0.75)."""
+    beta = -math.log(q)
+    a = 4.0 * math.pi / beta
+    with np.errstate(divide="ignore"):  # log 0 = -inf at theta = 0
+        return (math.log(0.5 * math.sqrt(2.0 * math.pi / beta)) + beta / 8.0
+                - 2.0 * (theta - 0.5 * math.pi) ** 2 / beta
+                + np.log(-np.expm1(-a * theta) - np.exp(-a * (math.pi - theta))
+                         + np.exp(-a * (2.0 * theta + math.pi))))
+
+
+def _log_weight(q: float, theta: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log of sin(theta) times the product, sin(theta)).  The closed form folds
+    theta to min(theta, pi - theta) first, so that the weight vanishes at 0 and
+    math.pi and w(theta) == w(pi - theta) bitwise."""
+    if q >= _JACOBI_Q:
+        theta = np.minimum(theta, math.pi - theta)
+        return _jacobi_log_weight(q, theta), np.sin(theta)
+    sin_t = np.sin(theta)
+    return _qg_log_weight(q, sin_t, tol), sin_t
+
+
 def density(spec: MeasureSpec, x, tol: float = 1e-12):
     """Density of a continuous spec at x (vectorized); 0 outside the support."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -195,8 +230,7 @@ def density(spec: MeasureSpec, x, tol: float = 1e-12):
         s = 2.0 / math.sqrt(1.0 - spec.q)
         inside = np.abs(xs) < s  # endpoints are exact zeros of the density
         theta = np.arccos(np.clip(xs / s, -1.0, 1.0))
-        sin_t = np.sin(theta)
-        logw = _qg_log_weight(spec.q, sin_t, tol)
+        logw, sin_t = _log_weight(spec.q, theta, tol)
         pref = math.log(math.sqrt(1.0 - spec.q) / math.pi)
         out = np.where(inside & (sin_t > 0.0), np.exp(pref + logw), 0.0)
     else:
@@ -208,8 +242,7 @@ def theta_weight(spec: QGaussian, theta: np.ndarray, tol: float = 1e-12) -> np.n
     """Weight w(theta) with x = -S cos(theta): integral of f dx over the
     support equals integral of w d(theta) over [0, pi]."""
     s = 2.0 / math.sqrt(1.0 - spec.q)
-    sin_t = np.sin(theta)
-    logw = _qg_log_weight(spec.q, sin_t, tol)
+    logw, sin_t = _log_weight(spec.q, theta, tol)
     pref = math.log(math.sqrt(1.0 - spec.q) / math.pi)
     return np.exp(pref + logw) * s * np.where(sin_t > 0.0, sin_t, 0.0)
 

@@ -200,6 +200,11 @@ class TestCdfTableNearQOne:
             cdf_table(QGaussian(q), n_points=n_points)
         assert "dydx" not in str(err.value)
 
+    def test_named_error_q0999_default_grid(self):
+        # the closed-form weight makes the default grid as cheap to refuse as the small one
+        with pytest.raises(ValueError, match=r"q=0\.999\) on n_points=4097"):
+            cdf_table(QGaussian(0.999), n_points=4097)
+
     @pytest.mark.parametrize("q", [0.9, 0.95, 0.98, 0.985])
     def test_quantile_finite_including_ends(self, q):
         t = cdf_table(QGaussian(q))
@@ -373,3 +378,120 @@ class TestLogWeightBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+# nodes of the two production grids: the conditional tables (1024 cells of 8) and the
+# CDF table (4096 cells of 16)
+COND_NODES = measure.theta_cells(np.linspace(0.0, math.pi, 1025), 8)[0].ravel()
+CDF_NODES = measure.theta_cells(np.linspace(0.0, math.pi, 4097), 16)[0].ravel()
+
+
+def _product_theta_weight(spec, theta, tol=1e-12):
+    """theta_weight as it reads on the product path."""
+    sin_t = np.sin(theta)
+    logw = measure._qg_log_weight(spec.q, sin_t, tol)
+    pref = math.log(math.sqrt(1.0 - spec.q) / math.pi)
+    return np.exp(pref + logw) * measure.support(spec)[1] * np.where(sin_t > 0.0, sin_t, 0.0)
+
+
+def _log_weight_compensated(q, theta, tol=1e-12):
+    """The product with 1 - q^k from expm1 and the factors summed with Neumaier's
+    compensation: within 4e-14 of the product summed in 80-bit long double at
+    q = 0.99, where _qg_log_weight's plain sums are off by 2.6e-12."""
+    lq = math.log(q)
+    s2 = np.sin(theta) ** 2
+    total, comp = np.log(np.sin(theta)), np.zeros_like(theta)
+    for k in range(1, measure._product_terms(q, tol) + 1):
+        one_minus = -math.expm1(k * lq)
+        term = 3.0 * math.log(one_minus) + np.log1p(4.0 * math.exp(k * lq) * s2
+                                                    / (one_minus * one_minus))
+        t = total + term
+        comp += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
+        total = t
+    return total + comp
+
+
+class TestJacobiLogWeight:
+    """The closed form at q >= _JACOBI_Q against the product it replaces there."""
+
+    # the product's own rounding grows with its 3,799 factors at q = 0.99: 2.6e-12
+    # there, against 4e-14 for _log_weight_compensated (test_compensated_oracle)
+    @pytest.mark.parametrize("q,rtol", [(measure._JACOBI_Q, 1e-12), (0.8, 1e-12),
+                                        (0.9, 1e-12), (0.95, 1e-12), (0.98, 1e-12),
+                                        (0.99, 4e-12)])
+    @pytest.mark.parametrize("nodes", [COND_NODES, CDF_NODES], ids=["cond", "cdf"])
+    def test_matches_product(self, q, rtol, nodes):
+        # compared at the folded angle: the closed form puts the support end at
+        # theta = math.pi, as theta_to_x does, and the product at the exact pi
+        folded = np.minimum(nodes, math.pi - nodes)
+        got, sin_t = measure._log_weight(q, nodes, 1e-12)
+        want = measure._qg_log_weight(q, np.sin(folded), 1e-12)
+        assert np.array_equal(sin_t, np.sin(folded))
+        assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("q", [0.99, 0.999])
+    def test_compensated_oracle(self, q):
+        theta = np.linspace(1e-4, 0.5 * math.pi, 257)
+        want = _log_weight_compensated(q, theta)
+        got = measure._jacobi_log_weight(q, theta)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("q", [measure._JACOBI_Q, 0.9, 0.99, 0.999])
+    def test_zero_at_support_ends(self, q):
+        spec = QGaussian(q)
+        ends = np.array([0.0, math.pi])
+        assert np.array_equal(measure._log_weight(q, ends, 1e-12)[0], [-np.inf, -np.inf])
+        assert np.array_equal(measure.theta_weight(spec, ends), [0.0, 0.0])
+        assert np.array_equal(density(spec, np.array(support(spec))), [0.0, 0.0])
+
+    @pytest.mark.parametrize("q", [measure._JACOBI_Q, 0.9, 0.99])
+    def test_symmetric_bitwise(self, q):
+        # pi - theta is exact for theta in [pi/2, pi] (Sterbenz)
+        spec = QGaussian(q)
+        theta = np.concatenate((np.linspace(0.5 * math.pi, math.pi, 1001),
+                                CDF_NODES[CDF_NODES >= 0.5 * math.pi]))
+        mirror = math.pi - theta
+        assert np.array_equal(measure._log_weight(q, theta, 1e-12)[0],
+                              measure._log_weight(q, mirror, 1e-12)[0])
+        assert np.array_equal(measure.theta_weight(spec, theta),
+                              measure.theta_weight(spec, mirror))
+
+    @pytest.mark.parametrize("q", [-0.9, 0.0, 0.5, 0.7])
+    def test_product_path_below_crossover_bitwise(self, q):
+        spec = QGaussian(q)
+        assert np.array_equal(measure.theta_weight(spec, CDF_NODES),
+                              _product_theta_weight(spec, CDF_NODES))
+        s = support(spec)[1]
+        xs = np.linspace(-s, s, 513)
+        theta = np.arccos(np.clip(xs / s, -1.0, 1.0))
+        pref = math.log(math.sqrt(1.0 - q) / math.pi)
+        sin_t = np.sin(theta)
+        want = np.where((np.abs(xs) < s) & (sin_t > 0.0),
+                        np.exp(pref + measure._qg_log_weight(q, sin_t, 1e-12)), 0.0)
+        assert np.array_equal(density(spec, xs), want)
+
+    def test_crossover_off_the_pinned_and_scanned_q(self):
+        # classify's rounded q of the pinned (rho, 0.5) points and the scan's 0.9
+        # column lie on one side each
+        assert 0.5000000000000002 < measure._JACOBI_Q < 0.8999999999999995
+
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.9), (-0.8, 0.9), (0.95, 0.9), (0.5, 0.99)])
+    def test_product_never_reached(self, monkeypatch, rho, q):
+        from qfields import kernel, params, simulate
+
+        def product(*args):
+            raise AssertionError("_qg_log_weight reached")
+
+        monkeypatch.setattr(measure, "_qg_log_weight", product)
+        monkeypatch.setattr(measure, "_TABLE_CACHE", {})
+        monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+        c = params.classify(params.params_from_rho_q(rho, q))
+        try:
+            simulate.make_sampler(c, simulate.SamplerConfig(rho=rho, q=q))
+        except simulate.SamplerError:
+            assert q == 0.99  # the named refusal near q = 1
+        for qq in (measure._JACOBI_Q, q):
+            try:
+                cdf_table(QGaussian(qq))
+            except ValueError as err:
+                assert "non-finite slopes" in str(err)

@@ -371,3 +371,30 @@ class TestNoNumericWarnings:
             s = _sampler("qgaussian", rho=0.5, q=0.98)
             e = sample_ensemble(s, 2, 10, 42)
         assert np.all(np.isfinite(e.values))
+
+
+# the (rho, q) grid of the benchmark's kernel_scan workload
+SCAN_RHOS = (-0.8, -0.3, 0.3, 0.5, 0.8, 0.95)
+SCAN_QS = (-0.9, -0.5, 0.0, 0.5, 0.9, 0.99)
+
+
+class TestKernelScanOutcomes:
+    def test_outcome_table(self, capsys):
+        # make_sampler refuses the q = 0.99 column by name; kernel-check exits 2 at
+        # four of its points, where the node ladder does not converge
+        from qfields.cli import run
+        got, want = {}, {}
+        for rho in SCAN_RHOS:
+            for q in SCAN_QS:
+                try:
+                    make_sampler(classify(params_from_rho_q(rho, q)),
+                                 SamplerConfig(rho=rho, q=q))
+                    outcome = "ok"
+                except SamplerError:
+                    outcome = "refused"
+                rc = run(["kernel-check", "--rho", repr(rho), "--q", repr(q), "--json"])
+                got[rho, q] = (outcome, rc)
+                want[rho, q] = (("refused", 0 if rho in (-0.3, 0.3) else 2) if q == 0.99
+                                else ("ok", 0))
+        capsys.readouterr()
+        assert got == want
