@@ -191,6 +191,8 @@ def standard_suite(e: Ensemble, p: FieldParams, c: Classification,
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError("threshold must be finite and > 0")
+    if not 1 <= n_max <= 8:  # checked here too: a case's own n_max overrides it below
+        raise ValueError("n_max must be in [1, 8]")
     entries = empirical_corr(e, p.rho, k_max=k_max, threshold=threshold)
     entries += weak_form_residuals(e, p, degree=degree, threshold=threshold)
     entries += symmetry_checks(e, threshold=threshold)

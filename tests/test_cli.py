@@ -181,6 +181,22 @@ class TestSampleVerify:
         assert out == ""
         assert name in err
 
+    @pytest.mark.parametrize("value", ["-3", "0", "9"])
+    def test_verify_scaled_nmax_out_of_range_exit_two(self, capsys, tmp_path, value):
+        # the scaled case gates only the degree-1 row, but the caller's --nmax is checked
+        csv_path = tmp_path / "s.csv"
+        code, _, _ = run_capture(
+            capsys, ["sample", "--rho", "0.5", "--case", "scaled",
+                     "--radial", f"{math.sqrt(2.0)}:0.5,0:0.5", "--chains", "20",
+                     "--steps", "400", "--seed", "3", "--out", str(csv_path)])
+        assert code == 0
+        code, out, err = run_capture(
+            capsys, ["verify", "--in", str(csv_path), "--rho", "0.5", "--A", "0.5",
+                     "--B", "0", "--C", "0", "--D", "0", "--nmax", value])
+        assert code == 2
+        assert out == ""
+        assert "n_max" in err
+
     def test_sample_config_file(self, capsys, tmp_path):
         cfg = {"rho": 0.5, "case": "scaled",
                "radial": [[math.sqrt(2.0), 0.5], [0.0, 0.5]],
