@@ -4,7 +4,6 @@ kernels, reproducible chain sampling and statistical verification."""
 
 from .params import (
     FieldParams,
-    Tolerances,
     DerivedParams,
     Classification,
     InvalidParams,

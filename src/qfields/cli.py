@@ -9,6 +9,7 @@ documented in --help.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -82,14 +83,14 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("density", help="tabulate the stationary density to CSV")
     sp.add_argument("--q", type=float, required=True, help="deformation parameter in (-1, 1)")
     sp.add_argument("--out", required=True, help="output CSV path (columns x,f)")
-    sp.add_argument("--points", type=int, default=513, help="grid size (default 513)")
+    sp.add_argument("--points", type=int, default=513, help="grid size, at least 2 (default 513)")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("kernel-check", help="eigen-relation, stationarity and "
                                              "two-step composition residuals")
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--q", type=float, required=True, help="q in (-1,1) for the series kernel, 1 for Gaussian")
-    sp.add_argument("--nmax", type=int, default=8, help="eigen degrees to check (default 8)")
+    sp.add_argument("--nmax", type=int, default=8, help="eigen degrees to check, 0 to 12 (default 8)")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("sample", help="sample a stationary ensemble to CSV "
@@ -205,6 +206,8 @@ def _cmd_favard(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     spec = measure.QGaussian(args.q)
     lo, hi = measure.support(spec)
     theta = np.linspace(0.0, math.pi, args.points)
@@ -221,13 +224,16 @@ def _cmd_density(args) -> int:
 
 def _cmd_kernel_check(args) -> int:
     rho, q = args.rho, args.q
+    if not 0 <= args.nmax <= kernel_mod._EIGEN_DEGREE_MAX:
+        raise ValueError(f"--nmax must be in [0, {kernel_mod._EIGEN_DEGREE_MAX}], "
+                         f"got {args.nmax}")
     if q == 1.0:
         kern = kernel_mod.GaussianAR1(rho)
         ys = [-1.5, -0.5, 0.0, 0.75, 2.0]
         xs = [-1.0, 0.0, 1.0]
     else:
         kern = kernel_mod.mehler_kernel(rho, q)
-        s = 2.0 / math.sqrt(1.0 - q)
+        s = measure.support(kern.law)[1]
         ys = [c * s for c in (-0.8, -0.4, 0.0, 0.4, 0.8)]
         xs = [c * s for c in (-0.6, 0.1, 0.5)]
     # np.max, unlike max, propagates a NaN residual into the verdict
@@ -258,42 +264,36 @@ def _parse_radial(text: str) -> measure.RadialLaw:
                              probs=tuple(p for _, p in pairs))
 
 
+# sample flag -> SamplerConfig field; a flag overrides the --config value
+_SAMPLE_FLAGS = {"rho": "rho", "q": "q", "case": "case", "radial": "radial",
+                 "chains": "n_chains", "steps": "n_steps", "seed": "seed"}
+
+
 def _sampler_config(args) -> SamplerConfig:
     cfg: dict = {}
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
-        cfg.update(raw)
-    if args.rho is not None:
-        cfg["rho"] = args.rho
-    if args.q is not None:
-        cfg["q"] = args.q
-    if args.case is not None:
-        cfg["case"] = args.case
-    if args.radial is not None:
-        cfg["radial"] = args.radial
-    if args.chains is not None:
-        cfg["n_chains"] = args.chains
-    if args.steps is not None:
-        cfg["n_steps"] = args.steps
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise _UsageError("--config must hold a JSON object")
+        unknown = sorted(cfg.keys() - {f.name for f in dataclasses.fields(SamplerConfig)})
+        if unknown:
+            raise _UsageError(f"unknown --config keys: {', '.join(unknown)}")
+    cfg.update({field: getattr(args, flag) for flag, field in _SAMPLE_FLAGS.items()
+                if getattr(args, flag) is not None})
     if "rho" not in cfg:
         raise _UsageError("sample requires --rho (or rho in --config)")
+    for key in ("n_chains", "n_steps", "seed"):
+        if key in cfg and type(cfg[key]) is not int:  # bool is not an integer here
+            raise _UsageError(f"{key} must be an integer, got {cfg[key]!r}")
+    cfg["rho"] = float(cfg["rho"])
     radial = cfg.get("radial")
     if isinstance(radial, str):
-        radial = _parse_radial(radial)
+        cfg["radial"] = _parse_radial(radial)
     elif isinstance(radial, (list, tuple)):
-        radial = measure.RadialLaw(values=tuple(float(v) for v, _ in radial),
-                                   probs=tuple(float(p) for _, p in radial))
-    return SamplerConfig(rho=float(cfg["rho"]),
-                         q=cfg.get("q"),
-                         b=cfg.get("b"),
-                         case=cfg.get("case"),
-                         radial=radial,
-                         n_chains=int(cfg.get("n_chains", 200)),
-                         n_steps=int(cfg.get("n_steps", 5000)),
-                         seed=int(cfg.get("seed", 42)))
+        cfg["radial"] = measure.RadialLaw(values=tuple(float(v) for v, _ in radial),
+                                          probs=tuple(float(p) for _, p in radial))
+    return SamplerConfig(**cfg)
 
 
 # canonical parameter set of each --case that takes no q

@@ -42,7 +42,6 @@ __all__ = [
     "two_point_matrix",
     "chapman_kolmogorov_residual",
     "detailed_balance_residual",
-    "stationary_spec",
 ]
 
 
@@ -295,10 +294,13 @@ def _ladder(k: MehlerQ, rung):
                           f"N={k.truncation} by {_NODE_LADDER[-1]} nodes", diff)
 
 
+_EIGEN_DEGREE_MAX = 12
+
+
 def eigen_residual(k: TransitionKernel, n: int, y: float) -> float:
     """|integral Q_n(x) f(x|y) dx - rho^n Q_n(y)| for the kernel's q."""
-    if n < 0 or n > 12:
-        raise ValueError("degree n must be in [0, 12]")
+    if not 0 <= n <= _EIGEN_DEGREE_MAX:
+        raise ValueError(f"degree n must be in [0, {_EIGEN_DEGREE_MAX}]")
     deg = max(n, 1)
     val = k.expect(y, lambda x: qpoly.qhermite_table(x, k.eigen_q, deg)[n:n + 1])[0]
     target = k.rho ** n * qpoly.qhermite_all(y, k.eigen_q, deg)[n]
@@ -314,11 +316,6 @@ def conditional_moment_residual(k: TransitionKernel, p: FieldParams, y: float) -
         "r_mean": float(abs(mean - p.rho * y)),
         "r_var": float(abs(second - (rc.alpha1 * y * y + rc.gamma1))),
     }
-
-
-def stationary_spec(k: TransitionKernel) -> MeasureSpec:
-    """The stationary one-dimensional law paired with the kernel."""
-    return k.law
 
 
 def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x: float) -> float:

@@ -221,7 +221,11 @@ def _log_weight(q: float, theta: np.ndarray, tol: float) -> tuple[np.ndarray, np
     return _qg_log_weight(q, sin_t, tol), sin_t
 
 
-def density(spec: MeasureSpec, x, tol: float = 1e-12):
+# truncation tolerance of the log-weight product for densities and the kernel
+_WEIGHT_TOL = 1e-12
+
+
+def density(spec: MeasureSpec, x):
     """Density of a continuous spec at x (vectorized); 0 outside the support."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(spec, StdGaussian):
@@ -230,7 +234,7 @@ def density(spec: MeasureSpec, x, tol: float = 1e-12):
         s = 2.0 / math.sqrt(1.0 - spec.q)
         inside = np.abs(xs) < s  # endpoints are exact zeros of the density
         theta = np.arccos(np.clip(xs / s, -1.0, 1.0))
-        logw, sin_t = _log_weight(spec.q, theta, tol)
+        logw, sin_t = _log_weight(spec.q, theta, _WEIGHT_TOL)
         pref = math.log(math.sqrt(1.0 - spec.q) / math.pi)
         out = np.where(inside & (sin_t > 0.0), np.exp(pref + logw), 0.0)
     else:
@@ -238,7 +242,7 @@ def density(spec: MeasureSpec, x, tol: float = 1e-12):
     return out if np.ndim(x) else float(out[0])
 
 
-def theta_weight(spec: QGaussian, theta: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def theta_weight(spec: QGaussian, theta: np.ndarray, tol: float = _WEIGHT_TOL) -> np.ndarray:
     """Weight w(theta) with x = -S cos(theta): integral of f dx over the
     support equals integral of w d(theta) over [0, pi]."""
     s = 2.0 / math.sqrt(1.0 - spec.q)
@@ -372,6 +376,9 @@ class CdfTable:
         return out if np.ndim(u) else float(out)
 
 
+# CDF-table grid size and the tolerance of its weight product and mass defect
+_CDF_POINTS = 4097
+_CDF_TOL = 1e-10
 _CELL_NODES = 16
 _TABLE_CACHE: dict = {}
 
@@ -389,7 +396,7 @@ def _strictly_increasing(F: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     return F[keep], x[keep]
 
 
-def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> CdfTable:
+def cdf_table(spec: MeasureSpec) -> CdfTable:
     """Build (and cache) the CDF table of a compact continuous spec.
 
     Cosine-spaced grid; per-cell Gauss-Legendre in theta (the density
@@ -398,22 +405,19 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
     """
     if not isinstance(spec, QGaussian):
         raise ValueError("cdf_table requires a compactly supported continuous spec")
-    if n_points < 129:
-        raise ValueError("n_points must be at least 129")
-    key = (spec, n_points, tol)
-    cached = _TABLE_CACHE.get(key)
+    cached = _TABLE_CACHE.get(spec)
     if cached is not None:
         return cached
 
-    theta_grid = np.linspace(0.0, math.pi, n_points)
+    theta_grid = np.linspace(0.0, math.pi, _CDF_POINTS)
     x_grid = theta_to_x(spec, theta_grid)
     nodes, weights = theta_cells(theta_grid, _CELL_NODES)
-    vals = theta_weight(spec, nodes.ravel(), tol).reshape(nodes.shape)
+    vals = theta_weight(spec, nodes.ravel(), _CDF_TOL).reshape(nodes.shape)
     cells = (weights * vals).sum(axis=1)
     F = np.concatenate(([0.0], np.cumsum(cells)))
     total = F[-1]
     max_error = abs(total - 1.0)
-    if max_error > max(tol * 1e3, 1e-8):
+    if max_error > _CDF_TOL * 1e3:
         raise QuadratureError("CDF normalization defect too large", max_error)
     F = F / total
     F = np.maximum.accumulate(F)
@@ -424,9 +428,9 @@ def cdf_table(spec: MeasureSpec, n_points: int = 4097, tol: float = 1e-10) -> Cd
                          _cdf=pchip(x_grid, F), _quantile=pchip(Fi, xi))
     except ValueError:
         raise ValueError(
-            f"CDF table of QGaussian(q={spec.q:g}) on n_points={n_points} has "
+            f"CDF table of QGaussian(q={spec.q:g}) on n_points={_CDF_POINTS} has "
             f"non-finite slopes: the mass near the support ends underflows") from None
-    _TABLE_CACHE[key] = table
+    _TABLE_CACHE[spec] = table
     return table
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "FieldParams",
-    "Tolerances",
     "ValidationResult",
     "DerivedParams",
     "Classification",
@@ -51,15 +50,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric thresholds separating float noise from genuine boundary cases."""
-
-    validation: float = 1e-9  # relative to the unit scale of the constraints
-    lattice: float = 1e-6  # on |m* - round(m*)| in the q > 1 branch
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# thresholds separating float noise from genuine boundary cases: _TOL on the
+# unit scale of the constraints, _LATTICE_TOL on |m* - round(m*)| when q > 1
+_TOL = 1e-9
+_LATTICE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -181,7 +175,7 @@ class DegenerateDenominatorError(ValueError):
     """Raised where a formula's common denominator vanishes within tolerance."""
 
 
-def validate(p: FieldParams, tol: float = DEFAULT_TOLERANCES.validation) -> ValidationResult:
+def validate(p: FieldParams) -> ValidationResult:
     """Check 0 < |rho| < 1 and the standardization constraint C = 1 - 2A - B rho^2."""
     violations: list[str] = []
     vals = (p.rho, p.A, p.B, p.C, p.D)
@@ -193,14 +187,14 @@ def validate(p: FieldParams, tol: float = DEFAULT_TOLERANCES.validation) -> Vali
     elif abs(p.rho) >= 1.0:
         violations.append("|rho| must be strictly less than 1")
     c_expected = 1.0 - 2.0 * p.A - p.B * p.rho * p.rho
-    if abs(p.C - c_expected) > tol:
+    if abs(p.C - c_expected) > _TOL:
         violations.append(
             f"C mismatch: expected 1 - 2A - B rho^2 = {c_expected!r}, got {p.C!r}"
         )
     return ValidationResult(not violations, tuple(violations))
 
 
-def derive(p: FieldParams, tol: float = DEFAULT_TOLERANCES.validation) -> DerivedParams:
+def derive(p: FieldParams) -> DerivedParams:
     """Derived quantities a, R, q and the compatibility-constraint residual."""
     _check_rho(p.rho)
     rho = p.rho
@@ -209,12 +203,12 @@ def derive(p: FieldParams, tol: float = DEFAULT_TOLERANCES.validation) -> Derive
     R = p.B * (rho + 1.0 / rho) ** 2
     rho4 = rho2 * rho2
     den = 1.0 + rho4 * (R - 1.0)
-    q = None if abs(den) <= tol else (rho4 + R - 1.0) / den
+    q = None if abs(den) <= _TOL else (rho4 + R - 1.0) / den
     residual = abs(p.A * (rho2 + 1.0 / rho2) + p.B - 1.0)
     return DerivedParams(a=a, R=R, q=q, constraint_residual=residual)
 
 
-def b_from_q(rho: float, q: float, tol: float = DEFAULT_TOLERANCES.validation) -> float:
+def b_from_q(rho: float, q: float) -> float:
     """Invert the q-map: the B giving deformation parameter q at this rho.
 
     Uses R = (1 + q)(1 - rho^4) / (1 - q rho^4) and B = R rho^2 / (1 + rho^2)^2.
@@ -223,7 +217,7 @@ def b_from_q(rho: float, q: float, tol: float = DEFAULT_TOLERANCES.validation) -
     rho2 = rho * rho
     rho4 = rho2 * rho2
     den = 1.0 - q * rho4
-    if abs(den) <= tol:
+    if abs(den) <= _TOL:
         raise DegenerateDenominatorError("q * rho^4 = 1: no finite B maps to this q")
     R = (1.0 + q) * (1.0 - rho4) / den
     return R * rho2 / (1.0 + rho2) ** 2
@@ -258,7 +252,7 @@ def boundary_values(rho: float, m_max: int = 5) -> BoundaryValues:
     return BoundaryValues(degenerate=b1, continuum_sup=b2, lattice=tuple(lattice))
 
 
-def classify(p: FieldParams, tol: Tolerances = DEFAULT_TOLERANCES) -> Classification:
+def classify(p: FieldParams) -> Classification:
     """Decision map from a parameter set to its existence verdict.
 
     Order of decision: validity, the D = 0 requirement, the B = 0 family
@@ -268,21 +262,21 @@ def classify(p: FieldParams, tol: Tolerances = DEFAULT_TOLERANCES) -> Classifica
     (deformed Gaussian), q > 1 (lattice detection), q < -1 (equivalently
     B < 0, nonexistent).
     """
-    v = validate(p, tol.validation)
+    v = validate(p)
     if not v.ok:
         return InvalidParams("; ".join(v.violations))
-    if abs(p.D) > tol.validation:
+    if abs(p.D) > _TOL:
         return Nonexistent("nonzero D: no standardized field admits a linear shift "
                            "in the conditional second moment")
-    d = derive(p, tol.validation)
-    if abs(p.B) <= tol.validation:
-        if abs(p.A - 0.5) <= tol.validation:
+    d = derive(p)
+    if abs(p.B) <= _TOL:
+        if abs(p.A - 0.5) <= _TOL:
             return ExistsScaledTwoPoint()
         note = ""
-        if d.constraint_residual <= tol.validation:
+        if d.constraint_residual <= _TOL:
             note = "coincides with the q = -1 endpoint of the continuum family"
         return ExistsTwoPointSymmetric(note=note)
-    if d.constraint_residual > tol.validation:
+    if d.constraint_residual > _TOL:
         return Nonexistent(
             "compatibility constraint A(rho^2 + 1/rho^2) + B = 1 violated "
             f"(residual {d.constraint_residual:.3e})"
@@ -290,14 +284,14 @@ def classify(p: FieldParams, tol: Tolerances = DEFAULT_TOLERANCES) -> Classifica
     if d.q is None:
         return NonexistentDegenerate()
     q = d.q
-    if abs(q - 1.0) <= tol.validation:
+    if abs(q - 1.0) <= _TOL:
         return ExistsGaussian()
     if -1.0 < q < 1.0:
         return ExistsQGaussian(q=q)
     if q > 1.0:
         m_star = -2.0 * math.log(abs(p.rho)) / math.log(q)
         m = round(m_star)
-        if m >= 1 and abs(m_star - m) <= tol.lattice:
+        if m >= 1 and abs(m_star - m) <= _LATTICE_TOL:
             return OpenLattice(m=m)
         return Nonexistent(f"q = {q:.6g} > 1 off the admissible lattice "
                            f"(nearest order {m_star:.6g})")
@@ -321,11 +315,10 @@ class RegressionCoeffs:
     gamma2: float
 
 
-def regression_coeffs(p: FieldParams,
-                      tol: float = DEFAULT_TOLERANCES.validation) -> RegressionCoeffs:
+def regression_coeffs(p: FieldParams) -> RegressionCoeffs:
     rho2 = p.rho * p.rho
     den = 1.0 - p.A * (1.0 + rho2)
-    if abs(den) <= tol:
+    if abs(den) <= _TOL:
         raise DegenerateDenominatorError(
             "degenerate denominator: A = 1/(1 + rho^2)")
     return RegressionCoeffs(
@@ -350,10 +343,9 @@ class ConsistencyResiduals:
     c_product: float  # C * [A (rho^2 + 1/rho^2) + B - 1]
 
 
-def consistency_residuals(p: FieldParams,
-                          tol: float = DEFAULT_TOLERANCES.validation) -> ConsistencyResiduals:
+def consistency_residuals(p: FieldParams) -> ConsistencyResiduals:
     _check_rho(p.rho)
-    rc = regression_coeffs(p, tol)
+    rc = regression_coeffs(p)
     rho2 = p.rho * p.rho
     return ConsistencyResiduals(
         r1=rc.alpha1 * rc.alpha1 - rc.alpha2,

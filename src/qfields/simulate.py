@@ -187,21 +187,20 @@ _STENCIL_ROWS = np.arange(4)
 _STENCIL_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CELLS,
-                              n_u: int = _N_U) -> ConditionalTables:
+def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
     spec = k.law
-    s = 2.0 / math.sqrt(1.0 - k.q)
-    y_nodes = theta_to_x(spec, np.linspace(0.0, math.pi, n_y))
-    theta_edges = np.linspace(0.0, math.pi, n_cells + 1)
+    s = measure.support(spec)[1]
+    y_nodes = theta_to_x(spec, np.linspace(0.0, math.pi, _N_Y))
+    theta_edges = np.linspace(0.0, math.pi, _N_CELLS + 1)
     x_edges = theta_to_x(spec, theta_edges)
 
     nodes, wts = (a.ravel() for a in theta_cells(theta_edges, _CELL_NODES))
     x_nodes = theta_to_x(spec, nodes)
     wt = theta_weight(spec, nodes)  # marginal weight in theta
-    ker = mehler_sum(k, x_nodes, y_nodes)  # (n_cells*nodes, n_y)
+    ker = mehler_sum(k, x_nodes, y_nodes)  # (_N_CELLS * _CELL_NODES, _N_Y)
     integrand = np.maximum(wt[:, None] * ker, 0.0)  # clamp truncation wobble
-    cells = (wts[:, None] * integrand).reshape(n_cells, _CELL_NODES, n_y).sum(axis=1)
-    F = np.vstack([np.zeros(n_y), np.cumsum(cells, axis=0)])
+    cells = (wts[:, None] * integrand).reshape(_N_CELLS, _CELL_NODES, _N_Y).sum(axis=1)
+    F = np.vstack([np.zeros(_N_Y), np.cumsum(cells, axis=0)])
     totals = F[-1]
     if np.any(totals <= 0.0):
         raise SamplerError("conditional mass vanished while building tables")
@@ -209,9 +208,9 @@ def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CEL
     F = np.maximum.accumulate(F, axis=0)
     F[-1] = 1.0
 
-    u_grid = np.linspace(0.0, 1.0, n_u)
-    quant = np.empty((n_y, n_u))
-    for j in range(n_y):
+    u_grid = np.linspace(0.0, 1.0, _N_U)
+    quant = np.empty((_N_Y, _N_U))
+    for j in range(_N_Y):
         Fj = F[:, j]
         keep = np.concatenate(([True], np.diff(Fj) > 0.0))
         try:
@@ -226,7 +225,7 @@ def _build_conditional_tables(k: MehlerQ, n_y: int = _N_Y, n_cells: int = _N_CEL
     quant[:, 0] = x_edges[0]
     quant[:, -1] = x_edges[-1]
     np.clip(quant, -s, s, out=quant)
-    j0 = np.arange(n_y - 3)[:, None, None]
+    j0 = np.arange(_N_Y - 3)[:, None, None]
     den = y_nodes[j0 + _STENCIL_ROWS[:, None]] - y_nodes[j0 + _STENCIL_OTHERS]
     return ConditionalTables(y_nodes=y_nodes, u_grid=u_grid, quantiles=quant,
                              support_radius=s, stencil_den=den)
@@ -265,9 +264,8 @@ def _uniform_block(master_seed: int, n_chains: int, n_draws: int) -> np.ndarray:
 
 
 def sample_ensemble(s: ChainSampler, n_chains: int, n_steps: int,
-                    master_seed: int, workers: int | None = None) -> Ensemble:
-    """Sample the ensemble; output depends only on the arguments (``workers``
-    is accepted for compatibility and has no effect)."""
+                    master_seed: int) -> Ensemble:
+    """Sample the ensemble; output depends only on the arguments."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if n_chains < 1:

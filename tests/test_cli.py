@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qfields import kernel
 from qfields.cli import run
 from qfields.verify import load_report
 
@@ -122,6 +123,16 @@ class TestDensity:
         assert float(mid[0]) == pytest.approx(0.0, abs=1e-12)
         assert float(mid[1]) == pytest.approx(1.0 / math.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    def test_too_few_points_exit_two(self, capsys, tmp_path, points):
+        out_path = tmp_path / "dens.csv"
+        code, out, err = run_capture(
+            capsys, ["density", "--q", "0", "--out", str(out_path), "--points", points])
+        assert code == 2
+        assert out == ""
+        assert "--points" in err
+        assert not out_path.exists()
+
 
 class TestKernelCheck:
     def test_mehler_pass(self, capsys):
@@ -137,6 +148,18 @@ class TestKernelCheck:
         data = json.loads(out)
         assert code == 0
         assert data["pass"] is True
+
+    @pytest.mark.parametrize("nmax", ["-1", "13"])
+    def test_nmax_out_of_range_exit_two(self, capsys, monkeypatch, nmax):
+        def no_kernel(*args):  # the flag is checked before any kernel is built
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(kernel, "mehler_kernel", no_kernel)
+        code, out, err = run_capture(
+            capsys, ["kernel-check", "--rho", "0.5", "--q", "0.5", "--nmax", nmax])
+        assert code == 2
+        assert out == ""
+        assert "--nmax" in err
 
 
 class TestSampleVerify:
@@ -209,6 +232,21 @@ class TestSampleVerify:
         assert code == 0
         assert "ExistsScaledTwoPoint" in out
         assert out_path.exists()
+
+    @pytest.mark.parametrize("cfg,named", [
+        ({"rho": 0.5, "q": 0.5, "n_chain": 3, "steps": 5}, "n_chain, steps"),
+        ({"rho": 0.5, "q": 0.5, "n_chains": 2.7, "n_steps": 5}, "n_chains"),
+        ([0.5, 0.5], "JSON object")], ids=["unknown-keys", "float-n-chains", "json-list"])
+    def test_sample_bad_config_usage_error(self, capsys, tmp_path, cfg, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "s.csv"
+        code, _, err = run_capture(
+            capsys, ["sample", "--config", str(cfg_path), "--out", str(out_path)])
+        assert code == 1
+        assert "usage error" in err
+        assert named in err
+        assert not out_path.exists()
 
     def test_conflicting_case_override_rejected(self, capsys, tmp_path):
         code, _, err = run_capture(

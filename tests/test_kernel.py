@@ -11,8 +11,7 @@ from qfields.kernel import (GaussianAR1, PositivityError,
                             conditional_moment_residual,
                             detailed_balance_residual, eigen_residual,
                             mehler_kernel, stationarity_residual,
-                            stationary_spec, transition_density,
-                            two_point_matrix)
+                            transition_density, two_point_matrix)
 from qfields.measure import QGaussian, RadialLaw, ScaledTwoPoint, StdGaussian, TwoPointSym
 from qfields.params import FieldParams, params_from_rho_q
 
@@ -190,9 +189,9 @@ class TestStationarity:
             stationarity_residual(mehler_kernel(0.5, 0.0), QGaussian(0.5), 0.0)
 
     def test_stationary_spec_pairing(self):
-        assert stationary_spec(GaussianAR1(0.4)) == StdGaussian()
-        assert stationary_spec(TwoPointChain(0.4)) == TwoPointSym()
-        assert stationary_spec(mehler_kernel(0.5, 0.25)) == QGaussian(0.25)
+        assert GaussianAR1(0.4).law == StdGaussian()
+        assert TwoPointChain(0.4).law == TwoPointSym()
+        assert mehler_kernel(0.5, 0.25).law == QGaussian(0.25)
 
 
 class TestTwoPointMatrix:

@@ -21,7 +21,9 @@ GAUSS_POINT = FieldParams(0.5, 0.16, 0.32, 0.6, 0.0)
 class TestValidate:
     def test_gaussian_point_ok(self):
         # 1 - 2*0.16 - 0.32*0.25 = 0.6
-        assert validate(GAUSS_POINT, 1e-12).ok
+        p = GAUSS_POINT
+        assert validate(p).ok
+        assert abs(p.C - (1.0 - 2.0 * p.A - p.B * p.rho * p.rho)) <= 1e-12
 
     def test_rho_zero_rejected(self):
         r = validate(FieldParams(0.0, 0.16, 0.32, 0.6, 0.0))
