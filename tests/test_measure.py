@@ -189,10 +189,17 @@ class TestCdfTable:
 
 
 class TestCdfTableNearQOne:
-    @pytest.mark.parametrize("q", [0.99, 0.999])
-    def test_named_error(self, q):
-        with pytest.raises(ValueError, match=rf"q={q:g}\) on n_points=4097") as err:
+    # n_points: the grid size the refusal names, the fixed CDF grid
+    @pytest.mark.parametrize("q,n_points", [(0.99, 4097)])
+    def test_named_error(self, q, n_points):
+        with pytest.raises(ValueError, match=rf"q={q:g}\) on n_points={n_points}") as err:
             cdf_table(QGaussian(q))
+        assert "dydx" not in str(err.value)
+
+    def test_named_error_q0999_default_grid(self):
+        # ~3e4 product factors at q = 0.999; the closed-form weight refuses it as cheaply
+        with pytest.raises(ValueError, match=r"q=0\.999\) on n_points=4097") as err:
+            cdf_table(QGaussian(0.999))
         assert "dydx" not in str(err.value)
 
     @pytest.mark.parametrize("q", [0.9, 0.95, 0.98, 0.985])
