@@ -19,8 +19,8 @@ import numpy as np
 from . import kernel as kernel_mod
 from . import measure, params, qpoly, verify
 from .quadrature import QuadratureError
-from .simulate import SamplerConfig, SamplerError, make_sampler, read_csv, \
-    sample_ensemble, write_csv
+from .simulate import SamplerConfig, SamplerError, _check_counts, make_sampler, \
+    read_csv, sample_csv
 
 __all__ = ["main", "run"]
 
@@ -286,6 +286,9 @@ def _sampler_config(args) -> SamplerConfig:
     for key in ("n_chains", "n_steps", "seed"):
         if key in cfg and type(cfg[key]) is not int:  # bool is not an integer here
             raise _UsageError(f"{key} must be an integer, got {cfg[key]!r}")
+    for key in ("rho", "q", "b"):
+        if key in cfg and type(cfg[key]) not in (int, float):  # a bool is no number either
+            raise _UsageError(f"{key} must be a number, got {cfg[key]!r}")
     cfg["rho"] = float(cfg["rho"])
     radial = cfg.get("radial")
     if isinstance(radial, str):
@@ -325,9 +328,8 @@ def _cmd_sample(args) -> int:
     if isinstance(c, params.InvalidParams):
         print(f"invalid parameters: {c.reason}", file=sys.stderr)
         return 2
-    sampler = make_sampler(c, cfg)
-    ens = sample_ensemble(sampler, cfg.n_chains, cfg.n_steps, cfg.seed)
-    write_csv(ens, args.out)
+    _check_counts(cfg.n_chains, cfg.n_steps, cfg.seed)
+    sample_csv(make_sampler(c, cfg), cfg.n_chains, cfg.n_steps, cfg.seed, args.out)
     payload = {"classification": c.name, "rho": cfg.rho,
                "n_chains": cfg.n_chains, "n_steps": cfg.n_steps,
                "seed": cfg.seed, "out": args.out}

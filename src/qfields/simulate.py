@@ -11,13 +11,18 @@ grid of conditioning states, interpolated cubically across states.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
+import shutil
+import signal
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -36,6 +41,7 @@ __all__ = [
     "Ensemble",
     "make_sampler",
     "sample_ensemble",
+    "sample_csv",
     "write_csv",
     "read_csv",
 ]
@@ -255,48 +261,133 @@ def _conditional_quantile(tables: ConditionalTables, y: np.ndarray,
     return np.minimum(np.maximum(x, -tables.support_radius), tables.support_radius)
 
 
-def _uniform_block(master_seed: int, n_chains: int, n_draws: int) -> np.ndarray:
-    out = np.empty((n_chains, n_draws))
-    for cid in range(n_chains):
+def _uniform_block(master_seed: int, ids: range, n_draws: int) -> np.ndarray:
+    out = np.empty((len(ids), n_draws))
+    for row, cid in zip(out, ids):
         key = np.array([master_seed, cid], dtype=np.uint64)
-        out[cid] = np.random.Generator(np.random.Philox(key=key)).random(n_draws)
+        np.random.Generator(np.random.Philox(key=key)).random(out=row)
     return out
 
 
-def sample_ensemble(s: ChainSampler, n_chains: int, n_steps: int,
-                    master_seed: int) -> Ensemble:
-    """Sample the ensemble; output depends only on the arguments."""
+def _check_counts(n_chains: int, n_steps: int, master_seed: int) -> None:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     if not 0 <= master_seed < 2 ** 64:
         raise ValueError("master_seed must fit in 64 bits")
+
+
+def _sample_block(s: ChainSampler, ids: range, n_steps: int, master_seed: int) -> np.ndarray:
+    """The chains ids, shape (len(ids), n_steps); each chain depends only on its
+    own stream, so the rows do not depend on how the ids are split."""
     k = s.initial.n_uniforms
-    u = _uniform_block(master_seed, n_chains, n_steps + k - 1)
-    vals = np.empty((n_chains, n_steps))
+    u = _uniform_block(master_seed, ids, n_steps + k - 1)
+    vals = np.empty((len(ids), n_steps))
     vals[:, 0] = s.initial.draw(u[:, :k].T)
     for t in range(1, n_steps):
         vals[:, t] = s.step(vals[:, t - 1], u[:, t + k - 1])
+    return vals
+
+
+def sample_ensemble(s: ChainSampler, n_chains: int, n_steps: int,
+                    master_seed: int) -> Ensemble:
+    """Sample the ensemble; output depends only on the arguments."""
+    _check_counts(n_chains, n_steps, master_seed)
+    vals = _sample_block(s, range(n_chains), n_steps, master_seed)
     vals.setflags(write=False)
     return Ensemble(master_seed=master_seed, values=vals)
+
+
+_HEADER = "chain,t,x\n"
 
 
 def write_csv(e: Ensemble, sink) -> None:
     """Write `chain,t,x` rows in (chain, t) order with 17 significant digits."""
     if isinstance(sink, (str, Path)):
         with open(sink, "w", newline="") as fh:
-            _write_csv_stream(e, fh)
-    else:
-        _write_csv_stream(e, sink)
+            write_csv(e, fh)
+        return
+    sink.write(_HEADER)
+    _write_rows(sink, range(e.n_chains), e.values)
 
 
-def _write_csv_stream(e: Ensemble, fh: io.TextIOBase) -> None:
+def _write_rows(fh: io.TextIOBase, ids: range, values: np.ndarray) -> None:
     # one %-format per chain: "" + cid + ",0,%.17g\n" + cid + ",1,%.17g\n" + ...
-    rows = [""] + [f",{t},%.17g\n" for t in range(e.n_steps)]
-    fh.write("chain,t,x\n")
-    for cid, row in e.chains():
+    rows = [""] + [f",{t},%.17g\n" for t in range(values.shape[1])]
+    for cid, row in zip(ids, values):
         fh.write(str(cid).join(rows) % tuple(row.tolist()))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the number of blocks of sample_csv."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def sample_csv(s: ChainSampler, n_chains: int, n_steps: int, master_seed: int,
+               path) -> None:
+    """Sample the ensemble straight to a CSV file, the bytes of
+    ``write_csv(sample_ensemble(...), path)``.
+
+    The chain ids split into contiguous blocks, one per usable CPU.  Block 0
+    is drawn here and written to path; every other block is drawn in a forked
+    process that writes its rows to an unnamed temporary file beside path
+    (in the system's temporary directory if path's is not writable), which is
+    appended in block order.  The forked processes call no BLAS, so
+    the BLAS threads a fork leaves behind are never waited on.  On any failure
+    every process is reaped and a partial regular file at path is removed.
+    """
+    _check_counts(n_chains, n_steps, master_seed)
+    n_blocks = min(n_chains, _usable_cpus()) if hasattr(os, "fork") else 1
+    edges = [n_chains * i // n_blocks for i in range(n_blocks + 1)]
+    blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    # beside path, on its file system; the system's when that directory is
+    # not writable (--out /dev/stdout)
+    tmp_dir = Path(path).parent if os.access(Path(path).parent, os.W_OK) else None
+    children: dict[int, tuple] = {}  # pid -> (ids, file) while unreaped, in block order
+    with open(path, "w", newline="") as out, contextlib.ExitStack() as tmps:
+        try:
+            for ids in blocks[1:]:
+                tmp = tmps.enter_context(tempfile.TemporaryFile("w+", newline="", dir=tmp_dir))
+                pid = os.fork()
+                if pid == 0:
+                    _block_child(s, ids, n_steps, master_seed, tmp)
+                children[pid] = ids, tmp
+            out.write(_HEADER)
+            _write_rows(out, blocks[0], _sample_block(s, blocks[0], n_steps, master_seed))
+            out.flush()
+            for pid, (ids, tmp) in list(children.items()):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                if code != 0:
+                    raise ChildProcessError(f"the process sampling chains {ids.start}.."
+                                            f"{ids.stop - 1} exited with status {code}")
+                tmp.buffer.seek(0)
+                shutil.copyfileobj(tmp.buffer, out.buffer)
+        except BaseException:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            out.close()
+            if os.path.isfile(path) and not os.path.islink(path):  # no device or pipe
+                os.unlink(path)
+            raise
+
+
+def _block_child(s: ChainSampler, ids: range, n_steps: int, master_seed: int,
+                 tmp: io.TextIOBase) -> NoReturn:
+    """Draw and write one block in a forked process, which leaves only here."""
+    code = 1
+    try:
+        _write_rows(tmp, ids, _sample_block(s, ids, n_steps, master_seed))
+        tmp.flush()
+        code = 0
+    except BaseException as exc:
+        os.write(2, f"sampling chains {ids.start}..{ids.stop - 1}: {exc!r}\n".encode())
+    finally:
+        os._exit(code)
 
 
 def read_csv(source) -> Ensemble:

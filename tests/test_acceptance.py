@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from qfields import measure, params, qpoly, verify
+from qfields import measure, params, qpoly, simulate, verify
 from qfields.cli import run as cli_run
 from qfields.kernel import (GaussianAR1, chapman_kolmogorov_residual,
                             conditional_moment_residual, eigen_residual,
@@ -283,7 +283,7 @@ def test_criterion_7_determinism(tmp_path, monkeypatch, capsys):
     problems = []
     csv_bytes, json_bytes = set(), set()
     for workers in ("1", "4", "8"):
-        monkeypatch.setenv("BRYC_THREADS", workers)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda w=workers: int(w))
         for rep in range(2):
             csv_path = tmp_path / f"chains_{workers}_{rep}.csv"
             rep_path = tmp_path / f"report_{workers}_{rep}.json"

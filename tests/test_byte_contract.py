@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from qfields import params
+from qfields import params, simulate
 from qfields.cli import run
 from qfields.measure import RadialLaw
 from qfields.simulate import SamplerConfig, make_sampler, sample_ensemble, write_csv
@@ -82,15 +82,32 @@ def test_write_csv_bytes(case):
     assert _sha(buf.getvalue()) == CSV_DIGESTS[case]
 
 
-@pytest.mark.parametrize("case", ["gaussian", "twopoint", "scaled"])
-def test_cli_case_sample_bytes(case, tmp_path):
+SAMPLE_CASES = ["gaussian", "twopoint", "scaled", (0.5, 0.5), (-0.3, -0.5)]
+# usable-CPU counts, so block counts, of `sample`; None keeps this machine's own,
+# and 17 is more than the 16 chains
+CPU_COUNTS = [None, 1, 2, 3, 7, 17]
+
+
+def _sample_id(case, cpus):
+    name = case if isinstance(case, str) else f"{case[0]}-{case[1]}"
+    return name if cpus is None else f"{name}-cpus{cpus}"
+
+
+@pytest.mark.parametrize("case,cpus", [(c, n) for c in SAMPLE_CASES for n in CPU_COUNTS],
+                         ids=[_sample_id(c, n) for c in SAMPLE_CASES for n in CPU_COUNTS])
+def test_cli_case_sample_bytes(case, cpus, tmp_path, monkeypatch):
+    # the pinned digests are those of write_csv(sample_ensemble(...)), for every block count
+    if cpus is not None:
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
     out = tmp_path / "chains.csv"
-    argv = ["sample", "--rho", "0.5", "--case", case, "--chains", "16",
-            "--steps", "400", "--seed", "7", "--out", str(out)]
+    argv = ["sample", "--rho", "0.5", "--case", case] if isinstance(case, str) else \
+        ["sample", "--rho", repr(case[0]), "--q", repr(case[1])]
+    argv += ["--chains", "16", "--steps", "400", "--seed", "7", "--out", str(out)]
     if case == "scaled":
         argv += ["--radial", RADIAL_ARG]
     assert _cli_stdout(argv)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[case]
+    assert list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("rho,q", list(KERNEL_CHECK_DIGESTS))

@@ -1,9 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
-from qfields import kernel
+from qfields import cli, kernel, simulate
 from qfields.cli import run
 from qfields.verify import load_report
 
@@ -236,7 +237,14 @@ class TestSampleVerify:
     @pytest.mark.parametrize("cfg,named", [
         ({"rho": 0.5, "q": 0.5, "n_chain": 3, "steps": 5}, "n_chain, steps"),
         ({"rho": 0.5, "q": 0.5, "n_chains": 2.7, "n_steps": 5}, "n_chains"),
-        ([0.5, 0.5], "JSON object")], ids=["unknown-keys", "float-n-chains", "json-list"])
+        ([0.5, 0.5], "JSON object"),
+        ({"rho": 0.5, "q": "0.5"}, "q must be a number"),
+        ({"rho": [0.5], "q": 0.5}, "rho must be a number"),
+        ({"rho": 0.5, "q": None}, "q must be a number"),
+        ({"rho": True, "q": 0.5}, "rho must be a number"),
+        ({"rho": 0.5, "b": "0.1"}, "b must be a number")],
+        ids=["unknown-keys", "float-n-chains", "json-list", "string-q", "list-rho",
+             "null-q", "bool-rho", "string-b"])
     def test_sample_bad_config_usage_error(self, capsys, tmp_path, cfg, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -247,6 +255,72 @@ class TestSampleVerify:
         assert "usage error" in err
         assert named in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--chains", "0"], "n_chains must be >= 1"),
+        (["--steps", "0"], "n_steps must be >= 1"),
+        (["--seed", "-1"], "master_seed must fit in 64 bits"),
+        (["--seed", str(2 ** 64)], "master_seed must fit in 64 bits")],
+        ids=["chains-0", "steps-0", "seed-negative", "seed-2-64"])
+    def test_sample_bad_counts_exit_two_before_tables(self, capsys, tmp_path, monkeypatch,
+                                                      flags, message):
+        def no_sampler(*args):
+            raise AssertionError("make_sampler ran before the counts were checked")
+        monkeypatch.setattr(cli, "make_sampler", no_sampler)
+        monkeypatch.setattr(os, "fork", no_sampler)
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_capture(capsys, ["sample", "--rho", "0.5", "--q", "0.5", *flags,
+                                            "--out", str(out_path)])
+        assert code == 2
+        assert message in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("failing,message", [
+        ("child", "chains 3..5 exited with status 1"), ("parent", "disk full")])
+    def test_sample_failing_block_reaps_and_cleans(self, capsys, tmp_path, monkeypatch,
+                                                   failing, message):
+        write_rows = simulate._write_rows
+
+        def broken(fh, ids, values):
+            if (ids.start == 0) == (failing == "parent"):
+                raise OSError("disk full")
+            write_rows(fh, ids, values)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(simulate, "_write_rows", broken)
+        code, out, err = run_capture(capsys, ["sample", "--rho", "0.5", "--case", "gaussian",
+                                              "--chains", "9", "--steps", "50",
+                                              "--out", str(tmp_path / "x.csv")])
+        assert code != 0
+        assert out == ""
+        assert message in err
+        assert list(tmp_path.iterdir()) == []  # no temporary file, no partial CSV
+        with pytest.raises(ChildProcessError):  # every child reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_sample_temporary_files_beside_output(self, capsys, tmp_path, monkeypatch):
+        # the blocks' files go beside --out, or to the system's temporary directory
+        # where that is not writable (as /dev is for --out /dev/stdout)
+        temporary_file, dirs = simulate.tempfile.TemporaryFile, []
+
+        def recording(*args, dir, **kwargs):
+            dirs.append(dir)
+            return temporary_file(*args, dir=dir, **kwargs)
+        monkeypatch.setattr(simulate.tempfile, "TemporaryFile", recording)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        argv = ["sample", "--rho", "0.5", "--case", "gaussian", "--chains", "6", "--steps", "40"]
+        assert run_capture(capsys, [*argv, "--out", str(tmp_path / "a.csv")])[0] == 0
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert run_capture(capsys, [*argv, "--out", str(tmp_path / "b.csv")])[0] == 0
+        assert dirs == [tmp_path, tmp_path, None, None]
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_sample_without_fork_runs_one_block(self, capsys, tmp_path, monkeypatch):
+        argv = ["sample", "--rho", "0.5", "--q", "0.5", "--chains", "6", "--steps", "40"]
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
+        assert run_capture(capsys, [*argv, "--out", str(tmp_path / "forked.csv")])[0] == 0
+        monkeypatch.delattr(os, "fork")
+        assert run_capture(capsys, [*argv, "--out", str(tmp_path / "single.csv")])[0] == 0
+        assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
 
     def test_conflicting_case_override_rejected(self, capsys, tmp_path):
         code, _, err = run_capture(
@@ -297,7 +371,7 @@ class TestDeterministicOutputs:
     def test_same_argv_same_bytes(self, capsys, tmp_path, monkeypatch):
         outs = []
         for w in ("1", "4"):
-            monkeypatch.setenv("BRYC_THREADS", w)
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda w=w: int(w))
             for rep in range(2):
                 csv_path = tmp_path / f"g_{w}_{rep}.csv"
                 run_capture(capsys, ["sample", "--rho", "0.5", "--case", "gaussian",
