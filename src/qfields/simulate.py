@@ -334,17 +334,16 @@ def sample_csv(s: ChainSampler, n_chains: int, n_steps: int, master_seed: int,
     The chain ids split into contiguous blocks, one per usable CPU.  Block 0
     is drawn here and written to path; every other block is drawn in a forked
     process that writes its rows to an unnamed temporary file beside path
-    (in the system's temporary directory if path's is not writable), which is
-    appended in block order.  The forked processes call no BLAS, so
-    the BLAS threads a fork leaves behind are never waited on.  On any failure
-    every process is reaped and a partial regular file at path is removed.
+    (in the system's temporary directory if path's is not writable, as /dev
+    is for /dev/stdout), which is appended in block order.  The forked
+    processes call no BLAS, so the BLAS threads a fork leaves behind are never
+    waited on.  On any failure every process is reaped and a partial regular
+    file at path is removed.
     """
     _check_counts(n_chains, n_steps, master_seed)
     n_blocks = min(n_chains, _usable_cpus()) if hasattr(os, "fork") else 1
     edges = [n_chains * i // n_blocks for i in range(n_blocks + 1)]
     blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
-    # beside path, on its file system; the system's when that directory is
-    # not writable (--out /dev/stdout)
     tmp_dir = Path(path).parent if os.access(Path(path).parent, os.W_OK) else None
     children: dict[int, tuple] = {}  # pid -> (ids, file) while unreaped, in block order
     with open(path, "w", newline="") as out, contextlib.ExitStack() as tmps:
