@@ -293,7 +293,12 @@ def _sampler_config(args) -> SamplerConfig:
     radial = cfg.get("radial")
     if isinstance(radial, str):
         cfg["radial"] = _parse_radial(radial)
-    elif isinstance(radial, (list, tuple)):
+    elif radial is not None:
+        if not isinstance(radial, list) or not all(
+                isinstance(pair, list) and len(pair) == 2
+                and all(type(v) in (int, float) for v in pair) for pair in radial):
+            raise _UsageError("radial must be a string or a list of [value, probability] "
+                              f"number pairs, got {radial!r}")
         cfg["radial"] = measure.RadialLaw(values=tuple(float(v) for v, _ in radial),
                                           probs=tuple(float(p) for _, p in radial))
     return SamplerConfig(**cfg)

@@ -8,10 +8,10 @@ scaled two-point laws R*Y with a user-supplied radial part.
 
 Densities are evaluated through the angle theta = arccos(x / S) with
 S = 2/sqrt(1-q): in theta the density is sin(theta) times an infinite
-product, a Jacobi theta function.  Below q = _JACOBI_Q (all q < 0 included)
-the product is summed factor by factor in log space; at and above it the
-number of factors grows like 1/(1-q), and Jacobi's imaginary transformation
-gives the log weight in closed form instead, a few terms per node whatever q.
+product, a Jacobi theta function.  For |q| < _JACOBI_Q the product is summed
+factor by factor in log space; from there on the number of factors grows like
+1/(1-|q|), and Jacobi's imaginary transformation gives the log weight in
+closed form instead, a few terms per node whatever q.
 """
 
 from __future__ import annotations
@@ -156,10 +156,8 @@ def _product_terms(q: float, tol: float) -> int:
     return k
 
 
-# the (k, theta) factor matrix is built in blocks of at most _K_BLOCK rows (k) and
-# about _COL_BLOCK columns (theta), fewer past _BLOCK_FACTORS factors: temporaries
-# stay near 1 MB whatever q, so peak memory does not hang on where they land
-_K_BLOCK, _COL_BLOCK, _BLOCK_FACTORS = 65536, 512, 1 << 17
+# columns (theta) per block of the (k, theta) factor matrix, of at most 121 rows (k)
+_COL_BLOCK = 512
 
 
 def _qg_log_weight(q: float, sin_theta: np.ndarray, tol: float) -> np.ndarray:
@@ -168,40 +166,32 @@ def _qg_log_weight(q: float, sin_theta: np.ndarray, tol: float) -> np.ndarray:
     kmax = _product_terms(q, tol)
     if kmax == 0:
         return out
-    s2 = sin_theta * sin_theta
-    rows = []
-    for start in range(1, kmax + 1, _K_BLOCK):
-        qk = np.power(q, np.arange(start, min(start + _K_BLOCK, kmax + 1)))
-        one_minus = 1.0 - qk
-        rows.append((np.log(one_minus).sum(), one_minus[:, None] ** 2, 4.0 * qk[:, None]))
-    # near-equal column widths, at least 2 as width >= 4: NumPy sums a width-1 block
+    s2, qk = sin_theta * sin_theta, np.power(q, np.arange(1, kmax + 1))[:, None]
+    one_minus = 1.0 - qk
+    log_const = np.log(one_minus).sum()
+    # near-equal column widths, at least 2 from 2 nodes up: NumPy sums a width-1 block
     # pairwise, not row by row as it sums a wider one, which changes the last bits
-    width = max(4, min(_COL_BLOCK, _BLOCK_FACTORS // min(kmax, _K_BLOCK)))
-    n, n_col = out.size, max(1, -(-out.size // width))
+    n, n_col = out.size, max(1, -(-out.size // _COL_BLOCK))
     for c in range(n_col):
         cols = slice(n * c // n_col, n * (c + 1) // n_col)
-        acc = out[cols]
-        for log_const, one_minus_sq, four_qk in rows:
-            acc = acc + log_const
-            acc = acc + np.log(one_minus_sq + four_qk * s2[None, cols]).sum(axis=0)
-        out[cols] = acc
+        out[cols] = (out[cols] + log_const
+                     + np.log(one_minus ** 2 + 4.0 * qk * s2[None, cols]).sum(axis=0))
     return out
 
 
-# from this q up the log weight is _jacobi_log_weight, below it _qg_log_weight.  The
-# closed form is the more accurate of the two from q = 0.3 up (6e-16 against 3e-15 to
-# 5e-14, relative to the product summed in 80-bit long double) and at least 15 times
-# faster from q = 0.5 up; 0.75 keeps every q <= 0.7, and with it every pinned sampler
-# and kernel-check digest at q <= 0.5, on the product
+# from this |q| up the log weight is in closed form, below it _qg_log_weight.  Relative
+# to the product summed in 80-bit long double, the closed form is the more accurate from
+# q = 0.3 up (6e-16 against 3e-15 to 5e-14) and from q = -0.75 down (2e-15 to 2e-13
+# against 4e-15 to 4e-12 at -0.999); 0.75 keeps every |q| <= 0.7, and with it every
+# pinned sampler and kernel-check digest at |q| <= 0.5, on the product
 _JACOBI_Q = 0.75
 
 
-def _jacobi_log_weight(q: float, theta: np.ndarray) -> np.ndarray:
-    """log of the same weight at theta in [0, pi/2] by Jacobi's imaginary
-    transformation: with beta = -ln q it is sqrt(pi/(2 beta)) exp(beta/8) times
+def _jacobi_log_weight(beta: float, theta: np.ndarray) -> np.ndarray:
+    """log of the weight at q = exp(-beta) and theta in [0, pi/2] by Jacobi's
+    imaginary transformation: it is sqrt(pi/(2 beta)) exp(beta/8) times
     sum_m (-1)^m exp(-2(theta - pi/2 + pi m)^2 / beta), of which m = 0, 1, -1, 2
     are kept; the rest are below exp(-4 pi^2 / beta) relative (e^-137 at q = 0.75)."""
-    beta = -math.log(q)
     a = 4.0 * math.pi / beta
     with np.errstate(divide="ignore"):  # log 0 = -inf at theta = 0
         return (math.log(0.5 * math.sqrt(2.0 * math.pi / beta)) + beta / 8.0
@@ -211,14 +201,24 @@ def _jacobi_log_weight(q: float, theta: np.ndarray) -> np.ndarray:
 
 
 def _log_weight(q: float, theta: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log of sin(theta) times the product, sin(theta)).  The closed form folds
+    """(log of sin(theta) times the product, sin(theta)).  The closed forms fold
     theta to min(theta, pi - theta) first, so that the weight vanishes at 0 and
-    math.pi and w(theta) == w(pi - theta) bitwise."""
-    if q >= _JACOBI_Q:
-        theta = np.minimum(theta, math.pi - theta)
-        return _jacobi_log_weight(q, theta), np.sin(theta)
-    sin_t = np.sin(theta)
-    return _qg_log_weight(q, sin_t, tol), sin_t
+    math.pi and w(theta) == w(pi - theta) bitwise.  At q = -p, b = -ln p, the even-k
+    factors are the weight at p^2 (beta = 2b: rounding p*p would cost 1e-11 at
+    p = 0.999) and the odd-k ones theta_3(theta, p) (-p; p^2)_inf / (p^2; p^2)_inf.
+    Of theta_3 = sqrt(pi/b) sum_m exp(-(theta - pi m)^2 / b) (Poisson summation)
+    m = 0, 1 are kept; Dedekind's eta transformation gives the two products' logs,
+    pi^2/(24 b) - b/24 and log(pi/b)/2 + b/12 - pi^2/(12 b).  Every omitted term is
+    below exp(-pi^2 / b) relative (e^-34 at p = 0.75)."""
+    if abs(q) < _JACOBI_Q:
+        sin_t = np.sin(theta)
+        return _qg_log_weight(q, sin_t, tol), sin_t
+    theta = np.minimum(theta, math.pi - theta)
+    if q > 0.0:
+        return _jacobi_log_weight(-math.log(q), theta), np.sin(theta)
+    b = -math.log(-q)
+    return (_jacobi_log_weight(2.0 * b, theta) + (math.pi ** 2 / 8.0 - theta * theta) / b
+            - b / 8.0 + np.log1p(np.exp(-math.pi * (math.pi - 2.0 * theta) / b))), np.sin(theta)
 
 
 # truncation tolerance of the log-weight product for densities and the kernel

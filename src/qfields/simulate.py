@@ -217,10 +217,8 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
     u_grid = np.linspace(0.0, 1.0, _N_U)
     quant = np.empty((_N_Y, _N_U))
     for j in range(_N_Y):
-        Fj = F[:, j]
-        keep = np.concatenate(([True], np.diff(Fj) > 0.0))
         try:
-            interp = pchip(Fj[keep], x_edges[keep])
+            interp = pchip(*measure._strictly_increasing(F[:, j], x_edges))
         except ValueError:  # the CDF has no usable increments
             raise SamplerError(
                 f"conditional tables at rho={k.rho:g}, q={k.q:g} have non-finite "

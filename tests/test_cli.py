@@ -242,9 +242,14 @@ class TestSampleVerify:
         ({"rho": [0.5], "q": 0.5}, "rho must be a number"),
         ({"rho": 0.5, "q": None}, "q must be a number"),
         ({"rho": True, "q": 0.5}, "rho must be a number"),
-        ({"rho": 0.5, "b": "0.1"}, "b must be a number")],
+        ({"rho": 0.5, "b": "0.1"}, "b must be a number"),
+        ({"rho": 0.5, "case": "scaled", "radial": 5}, "radial must be"),
+        ({"rho": 0.5, "case": "scaled", "radial": {"a": 1}}, "radial must be"),
+        ({"rho": 0.5, "case": "scaled", "radial": [[math.sqrt(2.0), 0.5], 7]},
+         "radial must be")],
         ids=["unknown-keys", "float-n-chains", "json-list", "string-q", "list-rho",
-             "null-q", "bool-rho", "string-b"])
+             "null-q", "bool-rho", "string-b", "int-radial", "object-radial",
+             "non-pair-radial"])
     def test_sample_bad_config_usage_error(self, capsys, tmp_path, cfg, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

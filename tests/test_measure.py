@@ -362,10 +362,10 @@ class TestLogWeightBlocks:
             tracemalloc.stop()
         assert peak < 64e6
 
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("q", [0.5, 0.9])
     def test_block_temporaries_bounded_by_factor_count(self, q):
-        # near q = 1 a block narrows so that it holds about _BLOCK_FACTORS
-        # factors (1 MB); 512 columns of 3500 factors at q = 0.99 held 14 MB
+        # a block holds 512 columns of at most 340 factors (1.4 MB) at q <= 0.9;
+        # from |q| = _JACOBI_Q up nothing calls the product (test_product_never_reached)
         import tracemalloc
         sin_t = np.sin(np.linspace(0.0, math.pi, 8192))
         tracemalloc.start()
@@ -392,16 +392,17 @@ def _product_theta_weight(spec, theta, tol=1e-12):
 
 
 def _log_weight_compensated(q, theta, tol=1e-12):
-    """The product with 1 - q^k from expm1 and the factors summed with Neumaier's
-    compensation: within 4e-14 of the product summed in 80-bit long double at
-    q = 0.99, where _qg_log_weight's plain sums are off by 2.6e-12."""
-    lq = math.log(q)
+    """The product with 1 - q^k from expm1 (from 1 + |q|^k at odd k if q < 0) and
+    the factors summed with Neumaier's compensation: within 4e-14 of the product
+    summed in 80-bit long double at q = 0.99 and 1.5e-14 at q = -0.99, where
+    _qg_log_weight's plain sums are off by 2.6e-12 and 2.9e-13."""
+    lq = math.log(abs(q))
     s2 = np.sin(theta) ** 2
     total, comp = np.log(np.sin(theta)), np.zeros_like(theta)
     for k in range(1, measure._product_terms(q, tol) + 1):
-        one_minus = -math.expm1(k * lq)
-        term = 3.0 * math.log(one_minus) + np.log1p(4.0 * math.exp(k * lq) * s2
-                                                    / (one_minus * one_minus))
+        qk = -math.exp(k * lq) if q < 0.0 and k % 2 else math.exp(k * lq)
+        one_minus = 1.0 - qk if qk < 0.0 else -math.expm1(k * lq)
+        term = 3.0 * math.log(one_minus) + np.log1p(4.0 * qk * s2 / (one_minus * one_minus))
         t = total + term
         comp += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
         total = t
@@ -409,13 +410,15 @@ def _log_weight_compensated(q, theta, tol=1e-12):
 
 
 class TestJacobiLogWeight:
-    """The closed form at q >= _JACOBI_Q against the product it replaces there."""
+    """The closed forms at |q| >= _JACOBI_Q against the product they replace there."""
 
     # the product's own rounding grows with its 3,799 factors at q = 0.99: 2.6e-12
     # there, against 4e-14 for _log_weight_compensated (test_compensated_oracle)
     @pytest.mark.parametrize("q,rtol", [(measure._JACOBI_Q, 1e-12), (0.8, 1e-12),
                                         (0.9, 1e-12), (0.95, 1e-12), (0.98, 1e-12),
-                                        (0.99, 4e-12)])
+                                        (0.99, 4e-12), (-measure._JACOBI_Q, 1e-12),
+                                        (-0.8, 1e-12), (-0.9, 1e-12), (-0.95, 1e-12),
+                                        (-0.98, 1e-12), (-0.99, 1e-12)])
     @pytest.mark.parametrize("nodes", [COND_NODES, CDF_NODES], ids=["cond", "cdf"])
     def test_matches_product(self, q, rtol, nodes):
         # compared at the folded angle: the closed form puts the support end at
@@ -426,14 +429,26 @@ class TestJacobiLogWeight:
         assert np.array_equal(sin_t, np.sin(folded))
         assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
 
-    @pytest.mark.parametrize("q", [0.99, 0.999])
+    @pytest.mark.parametrize("q", [0.99, 0.999, -0.99, -0.999])
     def test_compensated_oracle(self, q):
         theta = np.linspace(1e-4, 0.5 * math.pi, 257)
         want = _log_weight_compensated(q, theta)
-        got = measure._jacobi_log_weight(q, theta)
+        got = measure._log_weight(q, theta, 1e-12)[0]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
-    @pytest.mark.parametrize("q", [measure._JACOBI_Q, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("q", [-0.9, -0.99, -0.999])
+    def test_closer_to_oracle_than_product(self, q):
+        # against 80-bit long double the closed form is off by 4e-15, 1.5e-14 and
+        # 1.7e-13 here, the product by 1.8e-14, 2.9e-13 and 4.4e-12
+        theta = np.linspace(1e-4, 0.5 * math.pi, 257)
+        want = _log_weight_compensated(q, theta)
+        scale = np.maximum(1.0, np.abs(want))
+        closed = np.max(np.abs(measure._log_weight(q, theta, 1e-12)[0] - want) / scale)
+        product = np.max(np.abs(measure._qg_log_weight(q, np.sin(theta), 1e-12) - want) / scale)
+        assert closed < product
+
+    @pytest.mark.parametrize("q", [measure._JACOBI_Q, 0.9, 0.99, 0.999,
+                                   -measure._JACOBI_Q, -0.9, -0.99])
     def test_zero_at_support_ends(self, q):
         spec = QGaussian(q)
         ends = np.array([0.0, math.pi])
@@ -441,7 +456,8 @@ class TestJacobiLogWeight:
         assert np.array_equal(measure.theta_weight(spec, ends), [0.0, 0.0])
         assert np.array_equal(density(spec, np.array(support(spec))), [0.0, 0.0])
 
-    @pytest.mark.parametrize("q", [measure._JACOBI_Q, 0.9, 0.99])
+    @pytest.mark.parametrize("q", [measure._JACOBI_Q, 0.9, 0.99, -measure._JACOBI_Q, -0.9,
+                                   -0.99])
     def test_symmetric_bitwise(self, q):
         # pi - theta is exact for theta in [pi/2, pi] (Sterbenz)
         spec = QGaussian(q)
@@ -453,7 +469,7 @@ class TestJacobiLogWeight:
         assert np.array_equal(measure.theta_weight(spec, theta),
                               measure.theta_weight(spec, mirror))
 
-    @pytest.mark.parametrize("q", [-0.9, 0.0, 0.5, 0.7])
+    @pytest.mark.parametrize("q", [-0.7, 0.0, 0.5, 0.7])
     def test_product_path_below_crossover_bitwise(self, q):
         spec = QGaussian(q)
         assert np.array_equal(measure.theta_weight(spec, CDF_NODES),
@@ -468,13 +484,19 @@ class TestJacobiLogWeight:
         assert np.array_equal(density(spec, xs), want)
 
     def test_crossover_off_the_pinned_and_scanned_q(self):
-        # classify's rounded q of the pinned (rho, 0.5) points and the scan's 0.9
-        # column lie on one side each
+        # classify's rounded q of the pinned and scanned |q| = 0.5 points and of the
+        # scan's q = -0.9 and 0.9 columns lie on one side each, read as |q|
+        from qfields import params
+        for rho in (-0.8, -0.3, 0.3, 0.5, 0.8, 0.95):
+            for q in (-0.9, -0.5, 0.5, 0.9):
+                rounded = params.classify(params.params_from_rho_q(rho, q)).q
+                assert (abs(rounded) >= measure._JACOBI_Q) == (abs(q) == 0.9)
         assert 0.5000000000000002 < measure._JACOBI_Q < 0.8999999999999995
 
-    @pytest.mark.parametrize("rho,q", [(0.5, 0.9), (-0.8, 0.9), (0.95, 0.9), (0.5, 0.99)])
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.9), (-0.8, 0.9), (0.95, 0.9), (0.5, 0.99),
+                                       (-0.8, -0.9), (0.95, -0.9), (0.5, -0.99)])
     def test_product_never_reached(self, monkeypatch, rho, q):
-        from qfields import kernel, params, simulate
+        from qfields import cli, kernel, params, simulate
 
         def product(*args):
             raise AssertionError("_qg_log_weight reached")
@@ -487,8 +509,14 @@ class TestJacobiLogWeight:
             simulate.make_sampler(c, simulate.SamplerConfig(rho=rho, q=q))
         except simulate.SamplerError:
             assert q == 0.99  # the named refusal near q = 1
-        for qq in (measure._JACOBI_Q, q):
+        for qq in (measure._JACOBI_Q, -measure._JACOBI_Q, q):
             try:
                 cdf_table(QGaussian(qq))
             except ValueError as err:
                 assert "non-finite slopes" in str(err)
+            spec = QGaussian(qq)
+            density(spec, np.linspace(*support(spec), 513))
+            measure.theta_weight(spec, CDF_NODES)
+        # exit 2 at q = 0.99, where the theta quadrature does not converge
+        rc = cli.run(["kernel-check", "--rho", repr(rho), "--q", repr(q)])
+        assert rc == (2 if q == 0.99 else 0)
