@@ -30,7 +30,7 @@ CSV_DIGESTS = {
 
 KERNEL_CHECK_DIGESTS = {
     (0.5, 0.5): "706996814bf95ef5f868d7fd10a7e264c6177b3e6d00b16d6d7d97e062321e1d",
-    (-0.8, -0.9): "e3b968d06749c01b23db1453f78c268f26483362da1253c64a54e7ab078d650b",
+    (-0.8, -0.9): "ea750ed9c292e406ae020c918287539bba73a60418c3077c7f556499d50ff3d2",
     (0.95, 0.9): "2542c1bb628047e9069cc7096678aa2c69f8408387fddf39628f61a979bceb32",
     (0.5, 1.0): "b3f33fec691542e142e67a20f5c33c98160892454489817d050384ddfa3358f6",
 }
