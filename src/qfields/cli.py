@@ -259,7 +259,10 @@ def _parse_radial(text: str) -> measure.RadialLaw:
     pairs = []
     for chunk in text.split(","):
         v, _, pr = chunk.partition(":")
-        pairs.append((float(v), float(pr)))
+        try:
+            pairs.append((float(v), float(pr)))
+        except ValueError:
+            raise _UsageError(f"radial must read 'value:probability,...', got {text!r}") from None
     return measure.RadialLaw(values=tuple(v for v, _ in pairs),
                              probs=tuple(p for _, p in pairs))
 

@@ -246,10 +246,12 @@ class TestSampleVerify:
         ({"rho": 0.5, "case": "scaled", "radial": 5}, "radial must be"),
         ({"rho": 0.5, "case": "scaled", "radial": {"a": 1}}, "radial must be"),
         ({"rho": 0.5, "case": "scaled", "radial": [[math.sqrt(2.0), 0.5], 7]},
-         "radial must be")],
+         "radial must be"),
+        ({"rho": 0.5, "case": "scaled", "radial": "abc"}, "radial must read"),
+        ({"rho": 0.5, "case": "scaled", "radial": "1.4142135623730951"}, "radial must read")],
         ids=["unknown-keys", "float-n-chains", "json-list", "string-q", "list-rho",
              "null-q", "bool-rho", "string-b", "int-radial", "object-radial",
-             "non-pair-radial"])
+             "non-pair-radial", "text-radial", "no-probability-radial"])
     def test_sample_bad_config_usage_error(self, capsys, tmp_path, cfg, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
