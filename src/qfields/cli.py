@@ -25,6 +25,7 @@ from .simulate import SamplerConfig, SamplerError, _check_counts, make_sampler, 
 __all__ = ["main", "run"]
 
 _KERNEL_CHECK_TOL = 1e-6
+_KERNEL_CHECK_NMAX = 8  # eigen relation checked at degrees 0..8
 
 
 class _UsageError(Exception):
@@ -77,7 +78,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--nmax", type=int, default=100, help="scan depth (default 100)")
-    sp.add_argument("--tol", type=float, default=1e-10, help="zero threshold (default 1e-10)")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("density", help="tabulate the stationary density to CSV")
@@ -90,7 +90,6 @@ def _build_parser() -> _Parser:
                                              "two-step composition residuals")
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--q", type=float, required=True, help="q in (-1,1) for the series kernel, 1 for Gaussian")
-    sp.add_argument("--nmax", type=int, default=8, help="eigen degrees to check, 0 to 12 (default 8)")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("sample", help="sample a stationary ensemble to CSV "
@@ -112,11 +111,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--in", dest="infile", required=True, help="input CSV (chain,t,x)")
     add_params(sp)
     sp.add_argument("--report", help="write the JSON report here (default stdout)")
-    sp.add_argument("--kmax", type=int, default=5, help="correlation lags (default 5)")
-    sp.add_argument("--degree", type=int, default=4, help="weak-form test degree (default 4)")
-    sp.add_argument("--nmax", type=int, default=4, help="eigen-increment degree (default 4)")
-    sp.add_argument("--mmax", type=int, default=4, help="eigen test-function degree (default 4)")
-    sp.add_argument("--mult", type=float, default=4.0, help="gate threshold multiplier (default 4)")
     sp.add_argument("--seed", type=int, help="seed to echo in the report metadata")
     sp.add_argument("--json", action="store_true", help="also print the report to stdout")
     return p
@@ -189,7 +183,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_favard(args) -> int:
-    verdict = qpoly.favard_scan(args.rho, args.q, args.nmax, args.tol)
+    verdict = qpoly.favard_scan(args.rho, args.q, args.nmax)
     if isinstance(verdict, qpoly.TerminatesAt):
         line = f"TerminatesAt n={verdict.n0}"
         if verdict.m is not None:
@@ -224,9 +218,6 @@ def _cmd_density(args) -> int:
 
 def _cmd_kernel_check(args) -> int:
     rho, q = args.rho, args.q
-    if not 0 <= args.nmax <= kernel_mod._EIGEN_DEGREE_MAX:
-        raise ValueError(f"--nmax must be in [0, {kernel_mod._EIGEN_DEGREE_MAX}], "
-                         f"got {args.nmax}")
     if q == 1.0:
         kern = kernel_mod.GaussianAR1(rho)
         ys = [-1.5, -0.5, 0.0, 0.75, 2.0]
@@ -238,7 +229,7 @@ def _cmd_kernel_check(args) -> int:
         xs = [c * s for c in (-0.6, 0.1, 0.5)]
     # np.max, unlike max, propagates a NaN residual into the verdict
     eigen = float(np.max([kernel_mod.eigen_residual(kern, n, y)
-                          for n in range(0, args.nmax + 1) for y in ys]))
+                          for n in range(_KERNEL_CHECK_NMAX + 1) for y in ys]))
     stat = float(np.max([kernel_mod.stationarity_residual(kern, kern.law, x) for x in xs]))
     ck = float(np.max([kernel_mod.chapman_kolmogorov_residual(kern, x, z)
                        for x in xs for z in (ys[1], ys[3])]))
@@ -247,7 +238,7 @@ def _cmd_kernel_check(args) -> int:
                "chapman_kolmogorov_max": ck, "tolerance": _KERNEL_CHECK_TOL,
                "pass": ok}
     _emit(payload, args.json, [
-        f"eigen residual (n<= {args.nmax}):        {eigen:.3e}",
+        f"eigen residual (n<= {_KERNEL_CHECK_NMAX}):        {eigen:.3e}",
         f"stationarity residual:          {stat:.3e}",
         f"two-step composition residual:  {ck:.3e}",
         f"{'PASS' if ok else 'FAIL'} at tolerance {_KERNEL_CHECK_TOL:g}",
@@ -276,7 +267,10 @@ def _sampler_config(args) -> SamplerConfig:
     cfg: dict = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+                raise _UsageError(f"--config is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise _UsageError("--config must hold a JSON object")
         unknown = sorted(cfg.keys() - {f.name for f in dataclasses.fields(SamplerConfig)})
@@ -354,16 +348,14 @@ def _cmd_verify(args) -> int:
         print(f"invalid parameters: {c.reason}", file=sys.stderr)
         return 2
     ens = read_csv(args.infile)
-    entries = verify.standard_suite(ens, p, c, k_max=args.kmax, degree=args.degree,
-                                    n_max=args.nmax, m_max=args.mmax,
-                                    threshold=args.mult)
+    entries = verify.standard_suite(ens, p, c)
     meta = {
         "seed": args.seed,
         "n_chains": ens.n_chains,
         "n_steps": ens.n_steps,
         "params": {"rho": p.rho, "A": p.A, "B": p.B, "C": p.C, "D": p.D},
         "classification": c.name,
-        "threshold": args.mult,
+        "threshold": verify.DEFAULT_THRESHOLD,
     }
     report = verify.build_report(entries, meta)
     text = verify.report_json(report)

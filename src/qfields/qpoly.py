@@ -17,6 +17,8 @@ import numpy as np
 # Forward recurrence is stable inside the support at these degrees; evaluation
 # runs in 80-bit extended accumulators and higher degrees are rejected.
 MAX_DEGREE = 64
+# |c_n| at or below this counts as zero in the positivity scan
+_FAVARD_ZERO = 1e-10
 
 
 def q_bracket(n: int, q: float) -> float:
@@ -157,11 +159,11 @@ class FailsAt(FavardVerdict):
     n0: int
 
 
-def favard_scan(rho: float, q: float, n_max: int, tol: float = 1e-10) -> FavardVerdict:
+def favard_scan(rho: float, q: float, n_max: int) -> FavardVerdict:
     """Scan c_n = (1 - rho^2 q^{n-1}) [n]_q for n = 1..n_max in order.
 
-    First |c_n| <= tol wins TerminatesAt (finitely supported measure), first
-    c_n < -tol wins FailsAt (no positive measure), otherwise AllPositive.
+    First |c_n| <= 1e-10 wins TerminatesAt (finitely supported measure), first
+    c_n < -1e-10 wins FailsAt (no positive measure), otherwise AllPositive.
     For q in (-1, 1] every coefficient is bounded below by (1 - rho^2)
     times a positive bracket, so the scan is guaranteed AllPositive there.
     """
@@ -175,14 +177,14 @@ def favard_scan(rho: float, q: float, n_max: int, tol: float = 1e-10) -> FavardV
     for n in range(1, n_max + 1):
         br = br * q + 1.0
         c = (1.0 - rho2 * qpow) * br
-        if abs(c) <= tol:
+        if abs(c) <= _FAVARD_ZERO:
             m = None
             if n >= 2:
                 m_cand = n - 1
                 if abs(q - rho2 ** (-1.0 / m_cand)) <= 1e-6 * max(1.0, abs(q)):
                     m = m_cand
             return TerminatesAt(n0=n, m=m)
-        if c < -tol:
+        if c < -_FAVARD_ZERO:
             return FailsAt(n0=n)
         qpow *= q
     return AllPositive()

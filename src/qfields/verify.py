@@ -7,8 +7,9 @@ decay, and the odd-moment symmetry.  Chains are independent by construction,
 so every statistic is a mean of per-chain means and its standard error the
 chain-level sample deviation over sqrt(n_chains); in-chain samples are never
 pooled without that batching.  An estimate passes when it lies within
-``threshold`` standard errors of zero; identically-zero residuals (identities
-that hold pointwise) report a zero standard error and pass exactly.
+``DEFAULT_THRESHOLD`` (4) standard errors of zero; identically-zero residuals
+(identities that hold pointwise) report a zero standard error and pass
+exactly.
 
 The per-chain statistics are computed on blocks of whole chains (about 2^15
 values per temporary), so the suite's memory is bounded by the block, not by
@@ -20,7 +21,6 @@ exactly those of the unblocked formulas.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 4.0
+# the fixed battery: correlation lags 1.._K_MAX, weak-form monomials of degree
+# <= _DEGREE, eigen rows n = 1.._N_MAX against Q_0.._M_MAX
+_K_MAX = 5
+_DEGREE = 4
+_N_MAX = 4
+_M_MAX = 4
 # values per temporary in one block of whole chains (see _by_rows)
 _BLOCK_ELEMENTS = 2 ** 15
 
@@ -57,8 +63,7 @@ class TestEntry:
     passed: bool
 
 
-def _gate(test_id: str, statistic: str, per_chain: np.ndarray,
-          threshold: float) -> TestEntry:
+def _gate(test_id: str, statistic: str, per_chain: np.ndarray) -> TestEntry:
     per_chain = np.asarray(per_chain, dtype=float)
     est = float(per_chain.mean())
     if per_chain.size > 1:
@@ -66,8 +71,8 @@ def _gate(test_id: str, statistic: str, per_chain: np.ndarray,
     else:
         se = 0.0
     return TestEntry(test_id=test_id, statistic=statistic, estimate=est,
-                     stderr=se, threshold=threshold,
-                     passed=bool(abs(est) <= threshold * se))
+                     stderr=se, threshold=DEFAULT_THRESHOLD,
+                     passed=bool(abs(est) <= DEFAULT_THRESHOLD * se))
 
 
 def _by_rows(v: np.ndarray, stats) -> list[np.ndarray]:
@@ -78,41 +83,32 @@ def _by_rows(v: np.ndarray, stats) -> list[np.ndarray]:
     return [np.concatenate(col) for col in zip(*blocks)]
 
 
-def empirical_corr(e: Ensemble, rho: float, k_max: int = 5,
-                   threshold: float = DEFAULT_THRESHOLD) -> list[TestEntry]:
-    """Lag-k cross moments against rho^k, k = 1..k_max (standardized scale,
+def empirical_corr(e: Ensemble, rho: float) -> list[TestEntry]:
+    """Lag-k cross moments against rho^k, k = 1..5 (standardized scale,
     so no per-chain studentizing; lag 0 is identically 1 and not gated)."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if not k_max < e.n_steps / 10:
-        raise ValueError("k_max must be below n_steps / 10")
+    if not _K_MAX < e.n_steps / 10:
+        raise ValueError(f"need more than {10 * _K_MAX} steps for lag {_K_MAX}")
     lags = _by_rows(e.values, lambda vb: [(vb[:, :-k] * vb[:, k:]).mean(axis=1)
-                                          for k in range(1, k_max + 1)])
-    return [_gate(f"corr_k{k}", f"E[x_t x_(t+{k})] - rho^{k}",
-                  lag - rho ** k, threshold)
+                                          for k in range(1, _K_MAX + 1)])
+    return [_gate(f"corr_k{k}", f"E[x_t x_(t+{k})] - rho^{k}", lag - rho ** k)
             for k, lag in enumerate(lags, start=1)]
 
 
-def _monomials(degree: int):
-    return [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+_MONOMIALS = [(i, j) for i in range(_DEGREE + 1) for j in range(_DEGREE + 1 - i)]
 
 
-def weak_form_residuals(e: Ensemble, p: FieldParams, degree: int = 4,
-                        threshold: float = DEFAULT_THRESHOLD) -> list[TestEntry]:
+def weak_form_residuals(e: Ensemble, p: FieldParams) -> list[TestEntry]:
     """Weak-form residuals of the two conditional-moment identities.
 
-    For every monomial g = x^i y^j with i + j <= degree, gates the sample
+    For every monomial g = x^i y^j with i + j <= 4, gates the sample
     means of (X_t - a (X_{t-1} + X_{t+1})) g and
     (X_t^2 - Q(X_{t-1}, X_{t+1})) g over interior triples.  Polynomial test
-    functions up to the requested degree are a practical, not a complete,
-    separating class.
+    functions up to degree 4 are a practical, not a complete, separating
+    class.
     """
-    if not 0 <= degree <= 4:
-        raise ValueError("degree must be in [0, 4]")
     if e.n_steps < 3:
         raise ValueError("need at least 3 steps for interior triples")
     a = p.rho / (1.0 + p.rho * p.rho)
-    monomials = _monomials(degree)
 
     def stats(vb):
         xp, xm, xn = vb[:, :-2], vb[:, 1:-1], vb[:, 2:]
@@ -120,66 +116,59 @@ def weak_form_residuals(e: Ensemble, p: FieldParams, degree: int = 4,
         quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
                           + p.D * (xp + xn) + p.C)
         # each power once per block; x_(t-1)^i and x_(t+1)^j are its two slices
-        pw = [vb ** i for i in range(degree + 1)]
+        pw = [vb ** i for i in range(_DEGREE + 1)]
         cols = []
-        for (i, j) in monomials:
+        for (i, j) in _MONOMIALS:
             g = pw[i][:, :-2] * pw[j][:, 2:]
             cols += [(lin * g).mean(axis=1), (quad * g).mean(axis=1)]
         return cols
 
     cols = iter(_by_rows(e.values, stats))
     out = []
-    for (i, j) in monomials:
+    for (i, j) in _MONOMIALS:
         out.append(_gate(f"weak_lin_x{i}y{j}",
                          f"E[(x_t - a(x_(t-1)+x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]",
-                         next(cols), threshold))
+                         next(cols)))
         out.append(_gate(f"weak_quad_x{i}y{j}",
                          f"E[(x_t^2 - Q(x_(t-1),x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]",
-                         next(cols), threshold))
+                         next(cols)))
     return out
 
 
-def martingale_residuals(e: Ensemble, rho: float, q: float, n_max: int = 4,
-                         m_max: int = 4,
-                         threshold: float = DEFAULT_THRESHOLD) -> list[TestEntry]:
+def martingale_residuals(e: Ensemble, rho: float, q: float,
+                         n_max: int = _N_MAX) -> list[TestEntry]:
     """Gates E[(Q_n(X_{t+1}) - rho^n Q_n(X_t)) Q_m(X_t)] for n = 1..n_max,
-    m = 0..m_max, with the polynomials built at the supplied q."""
+    m = 0..4, with the polynomials built at the supplied q."""
     if not 1 <= n_max <= 8:
         raise ValueError("n_max must be in [1, 8]")
-    if not 0 <= m_max <= 8:
-        raise ValueError("m_max must be in [0, 8]")
-    deg = max(n_max, m_max)
+    deg = max(n_max, _M_MAX)
 
     def stats(vb):
         tabs = qpoly.qhermite_table(vb.ravel(), q, deg).reshape(deg + 1, *vb.shape)
         cols = []
         for n in range(1, n_max + 1):
             resid = tabs[n][:, 1:] - rho ** n * tabs[n][:, :-1]
-            cols += [(resid * tabs[m][:, :-1]).mean(axis=1) for m in range(m_max + 1)]
+            cols += [(resid * tabs[m][:, :-1]).mean(axis=1) for m in range(_M_MAX + 1)]
         return cols
 
     cols = iter(_by_rows(e.values, stats))
     return [_gate(f"mart_n{n}_m{m}",
                   f"E[(Q_{n}(x_(t+1)) - rho^{n} Q_{n}(x_t)) Q_{m}(x_t)]",
-                  next(cols), threshold)
-            for n in range(1, n_max + 1) for m in range(m_max + 1)]
+                  next(cols))
+            for n in range(1, n_max + 1) for m in range(_M_MAX + 1)]
 
 
-def symmetry_checks(e: Ensemble,
-                    threshold: float = DEFAULT_THRESHOLD) -> list[TestEntry]:
+def symmetry_checks(e: Ensemble) -> list[TestEntry]:
     """Gates the first and third moments near zero."""
     mean, third = _by_rows(e.values, lambda vb: [vb.mean(axis=1),
                                                  (vb ** 3).mean(axis=1)])
     return [
-        _gate("sym_mean", "E[x]", mean, threshold),
-        _gate("sym_third", "E[x^3]", third, threshold),
+        _gate("sym_mean", "E[x]", mean),
+        _gate("sym_third", "E[x^3]", third),
     ]
 
 
-def standard_suite(e: Ensemble, p: FieldParams, c: Classification,
-                   k_max: int = 5, degree: int = 4, n_max: int = 4,
-                   m_max: int = 4,
-                   threshold: float = DEFAULT_THRESHOLD) -> list[TestEntry]:
+def standard_suite(e: Ensemble, p: FieldParams, c: Classification) -> list[TestEntry]:
     """The full verification battery applicable to a classified parameter set.
 
     Correlation decay, weak-form conditional identities and the symmetry
@@ -189,16 +178,9 @@ def standard_suite(e: Ensemble, p: FieldParams, c: Classification,
     moment is chain-constant there, so higher rows are genuinely biased for
     non-degenerate radial laws) and the suite gates only that row.
     """
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError("threshold must be finite and > 0")
-    if not 1 <= n_max <= 8:  # checked here too: a case's own n_max overrides it below
-        raise ValueError("n_max must be in [1, 8]")
-    entries = empirical_corr(e, p.rho, k_max=k_max, threshold=threshold)
-    entries += weak_form_residuals(e, p, degree=degree, threshold=threshold)
-    entries += symmetry_checks(e, threshold=threshold)
+    entries = empirical_corr(e, p.rho) + weak_form_residuals(e, p) + symmetry_checks(e)
     if c.eigen_q is not None:
-        entries += martingale_residuals(e, p.rho, c.eigen_q, n_max=c.martingale_n_max or n_max,
-                                        m_max=m_max, threshold=threshold)
+        entries += martingale_residuals(e, p.rho, c.eigen_q, c.martingale_n_max or _N_MAX)
     return entries
 
 

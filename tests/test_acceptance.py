@@ -192,7 +192,7 @@ def test_criterion_5_favard_suite():
     for rho in (0.3, 0.5, 0.8):
         for m in range(1, 6):
             q = (rho * rho) ** (-1.0 / m)
-            v = qpoly.favard_scan(rho, q, 200, 1e-10)
+            v = qpoly.favard_scan(rho, q, 200)
             if not (isinstance(v, qpoly.TerminatesAt) and v.n0 == m + 1 and v.m == m):
                 problems.append(f"lattice detection failed at rho={rho}, m={m}: {v}")
             c = qpoly.asc_coefficient(m + 1, rho, q)
@@ -206,14 +206,14 @@ def test_criterion_5_favard_suite():
         m_star = -2.0 * math.log(rho) / math.log(q)
         if abs(m_star - round(m_star)) < 1e-3:
             continue
-        v = qpoly.favard_scan(rho, q, 500, 1e-10)
+        v = qpoly.favard_scan(rho, q, 500)
         if not isinstance(v, qpoly.FailsAt):
             problems.append(f"off-lattice q={q:.4f}, rho={rho:.4f} returned {v}")
         fails += 1
     for _ in range(20):
         rho = rng.uniform(0.1, 0.95)
         q = rng.uniform(-0.999, 1.0)
-        v = qpoly.favard_scan(rho, q, 300, 1e-10)
+        v = qpoly.favard_scan(rho, q, 300)
         if not isinstance(v, qpoly.AllPositive):
             problems.append(f"q={q:.4f} in (-1,1] returned {v}")
     _finish(5, "positivity scan suite", problems, t0, 1.0)
@@ -265,10 +265,10 @@ def test_criterion_6_monte_carlo_suite():
 
     # documented corruption cases must fail at the pinned seed
     corrupted = verify.weak_form_residuals(
-        gauss_ens, FieldParams(0.5, 0.2, 0.32, 0.6, 0.0), degree=4)
+        gauss_ens, FieldParams(0.5, 0.2, 0.32, 0.6, 0.0))
     if all(e.passed for e in corrupted if e.test_id == "weak_quad_x2y0"):
         problems.append("corrupted A did not fail the quadratic x^2 gate")
-    wrong_rho = verify.martingale_residuals(gauss_ens, 0.55, 1.0, n_max=2, m_max=2)
+    wrong_rho = verify.martingale_residuals(gauss_ens, 0.55, 1.0, n_max=2)
     if next(e for e in wrong_rho if e.test_id == "mart_n2_m2").passed:
         problems.append("corrupted rho did not fail the (2,2) eigen-increment gate")
     from qfields.simulate import Ensemble

@@ -150,18 +150,6 @@ class TestKernelCheck:
         assert code == 0
         assert data["pass"] is True
 
-    @pytest.mark.parametrize("nmax", ["-1", "13"])
-    def test_nmax_out_of_range_exit_two(self, capsys, monkeypatch, nmax):
-        def no_kernel(*args):  # the flag is checked before any kernel is built
-            raise AssertionError("kernel built")
-
-        monkeypatch.setattr(kernel, "mehler_kernel", no_kernel)
-        code, out, err = run_capture(
-            capsys, ["kernel-check", "--rho", "0.5", "--q", "0.5", "--nmax", nmax])
-        assert code == 2
-        assert out == ""
-        assert "--nmax" in err
-
 
 class TestSampleVerify:
     def test_end_to_end(self, capsys, tmp_path):
@@ -191,36 +179,6 @@ class TestSampleVerify:
         rep = json.loads(out)
         assert rep["summary"]["n_fail"] >= 1
 
-    @pytest.mark.parametrize("flag,value,name", [
-        ("--kmax", "0", "k_max"), ("--degree", "-1", "degree"), ("--nmax", "0", "n_max"),
-        ("--mmax", "-1", "m_max"), ("--mult", "-1", "threshold"),
-        ("--mult", "nan", "threshold")])
-    def test_verify_degenerate_battery_exit_two(self, capsys, tmp_path, flag, value, name):
-        csv_path = tmp_path / "g.csv"
-        run_capture(capsys, ["sample", "--rho", "0.5", "--case", "gaussian", "--chains", "30",
-                             "--steps", "400", "--seed", "7", "--out", str(csv_path)])
-        code, out, err = run_capture(
-            capsys, ["verify", "--in", str(csv_path), *GAUSS_ARGS, flag, value])
-        assert code == 2
-        assert out == ""
-        assert name in err
-
-    @pytest.mark.parametrize("value", ["-3", "0", "9"])
-    def test_verify_scaled_nmax_out_of_range_exit_two(self, capsys, tmp_path, value):
-        # the scaled case gates only the degree-1 row, but the caller's --nmax is checked
-        csv_path = tmp_path / "s.csv"
-        code, _, _ = run_capture(
-            capsys, ["sample", "--rho", "0.5", "--case", "scaled",
-                     "--radial", f"{math.sqrt(2.0)}:0.5,0:0.5", "--chains", "20",
-                     "--steps", "400", "--seed", "3", "--out", str(csv_path)])
-        assert code == 0
-        code, out, err = run_capture(
-            capsys, ["verify", "--in", str(csv_path), "--rho", "0.5", "--A", "0.5",
-                     "--B", "0", "--C", "0", "--D", "0", "--nmax", value])
-        assert code == 2
-        assert out == ""
-        assert "n_max" in err
-
     def test_sample_config_file(self, capsys, tmp_path):
         cfg = {"rho": 0.5, "case": "scaled",
                "radial": [[math.sqrt(2.0), 0.5], [0.0, 0.5]],
@@ -248,13 +206,16 @@ class TestSampleVerify:
         ({"rho": 0.5, "case": "scaled", "radial": [[math.sqrt(2.0), 0.5], 7]},
          "radial must be"),
         ({"rho": 0.5, "case": "scaled", "radial": "abc"}, "radial must read"),
-        ({"rho": 0.5, "case": "scaled", "radial": "1.4142135623730951"}, "radial must read")],
+        ({"rho": 0.5, "case": "scaled", "radial": "1.4142135623730951"}, "radial must read"),
+        (b'{"rho": 0.5, "q": 0.5,', "not valid JSON"),
+        (b'{"rho": 0.5, "q": 0.5, "case": "\xff"}', "not valid JSON")],
         ids=["unknown-keys", "float-n-chains", "json-list", "string-q", "list-rho",
              "null-q", "bool-rho", "string-b", "int-radial", "object-radial",
-             "non-pair-radial", "text-radial", "no-probability-radial"])
+             "non-pair-radial", "text-radial", "no-probability-radial", "truncated-json",
+             "not-utf8"])
     def test_sample_bad_config_usage_error(self, capsys, tmp_path, cfg, named):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
         out_path = tmp_path / "s.csv"
         code, _, err = run_capture(
             capsys, ["sample", "--config", str(cfg_path), "--out", str(out_path)])
@@ -372,6 +333,29 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert run(["classify", "--help"]) == 0
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_subcommand_help_exits_zero(self, capsys, command):
+        code, out, _ = run_capture(capsys, [command, "--help"])
+        assert code == 0
+        assert out.startswith(f"usage: qfields {command}")
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("verify", "--kmax", "5"), ("verify", "--degree", "4"), ("verify", "--nmax", "4"),
+        ("verify", "--mmax", "4"), ("verify", "--mult", "4"),
+        ("kernel-check", "--nmax", "8"), ("favard", "--tol", "1e-10")])
+    def test_removed_verdict_flag_usage_error(self, capsys, tmp_path, command, flag, value):
+        csv_path, report = tmp_path / "g.csv", tmp_path / "rep.json"
+        assert run_capture(capsys, ["sample", "--rho", "0.5", "--case", "gaussian", "--chains",
+                                    "4", "--steps", "60", "--out", str(csv_path)])[0] == 0
+        argv = {"verify": ["--in", str(csv_path), *GAUSS_ARGS, "--report", str(report)],
+                "kernel-check": ["--rho", "0.5", "--q", "0.5"],
+                "favard": ["--rho", "0.5", "--q", "0.3"]}[command]
+        code, out, err = run_capture(capsys, [command, *argv, flag, value])
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and flag in err
+        assert not report.exists()
 
 
 class TestDeterministicOutputs:

@@ -109,20 +109,20 @@ class TestConditionalFamily:
 
 class TestFavard:
     def test_lattice_m1(self):
-        v = favard_scan(0.5, 4.0, 100, 1e-10)
+        v = favard_scan(0.5, 4.0, 100)
         assert v == TerminatesAt(n0=2, m=1)
 
     def test_off_lattice_fails(self):
-        assert favard_scan(0.5, 3.0, 100, 1e-10) == FailsAt(n0=3)
+        assert favard_scan(0.5, 3.0, 100) == FailsAt(n0=3)
 
     def test_inside_unit_all_positive(self):
-        assert favard_scan(0.5, 0.5, 1000, 1e-10) == AllPositive()
+        assert favard_scan(0.5, 0.5, 1000) == AllPositive()
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_lattice_detection(self, rho, m):
         q = (rho * rho) ** (-1.0 / m)
-        v = favard_scan(rho, q, 200, 1e-10)
+        v = favard_scan(rho, q, 200)
         assert v == TerminatesAt(n0=m + 1, m=m)
 
     def test_off_lattice_bound(self):
@@ -133,7 +133,7 @@ class TestFavard:
             m_star = -2.0 * math.log(rho) / math.log(q)
             if abs(m_star - round(m_star)) < 1e-3:
                 continue
-            v = favard_scan(rho, q, 500, 1e-10)
+            v = favard_scan(rho, q, 500)
             assert isinstance(v, FailsAt)
             bound = math.ceil(1.0 + math.log(1.0 / rho ** 2) / math.log(q)) + 1
             assert v.n0 <= bound
@@ -143,7 +143,7 @@ class TestFavard:
         for _ in range(20):
             rho = rng.uniform(0.1, 0.95)
             q = rng.uniform(-0.999, 1.0)
-            assert favard_scan(rho, q, 300, 1e-10) == AllPositive()
+            assert favard_scan(rho, q, 300) == AllPositive()
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ def two_point_ensemble():
 
 class TestEmpiricalCorr:
     def test_all_lags_pass(self, gauss_ensemble):
-        entries = empirical_corr(gauss_ensemble, 0.5, k_max=5)
+        entries = empirical_corr(gauss_ensemble, 0.5)
         assert len(entries) == 5
         assert all(e.passed for e in entries)
         assert [e.test_id for e in entries] == [f"corr_k{k}" for k in range(1, 6)]
@@ -42,29 +42,26 @@ class TestEmpiricalCorr:
         assert "corr_k0" not in ids
 
     def test_k_max_precondition(self, gauss_ensemble):
-        with pytest.raises(ValueError):
-            empirical_corr(gauss_ensemble, 0.5, k_max=gauss_ensemble.n_steps // 10)
+        short = Ensemble(master_seed=0, values=gauss_ensemble.values[:, :50])
+        with pytest.raises(ValueError, match="more than 50 steps"):
+            empirical_corr(short, 0.5)
 
     def test_wrong_rho_fails(self, gauss_ensemble):
-        entries = empirical_corr(gauss_ensemble, 0.8, k_max=2)
+        entries = empirical_corr(gauss_ensemble, 0.8)
         assert not entries[0].passed
 
 
 class TestWeakForm:
     def test_gaussian_point_passes(self, gauss_ensemble):
-        entries = weak_form_residuals(gauss_ensemble, GAUSS_POINT, degree=4)
+        entries = weak_form_residuals(gauss_ensemble, GAUSS_POINT)
         assert len(entries) == 30  # 15 monomials x 2 identities
         assert all(e.passed for e in entries)
 
     def test_corrupted_a_fails_on_quadratic(self, gauss_ensemble):
         corrupted = FieldParams(0.5, 0.2, 0.32, 0.6, 0.0)
-        entries = weak_form_residuals(gauss_ensemble, corrupted, degree=4)
+        entries = weak_form_residuals(gauss_ensemble, corrupted)
         by_id = {e.test_id: e for e in entries}
         assert not by_id["weak_quad_x2y0"].passed
-
-    def test_degree_cap(self, gauss_ensemble):
-        with pytest.raises(ValueError):
-            weak_form_residuals(gauss_ensemble, GAUSS_POINT, degree=5)
 
     def test_scaled_pointwise_identity_degenerate_pass(self):
         # A=1/2, B=D=C=0: the quadratic identity holds pointwise, so the
@@ -74,24 +71,24 @@ class TestWeakForm:
         radial = RadialLaw(values=(math.sqrt(2.0), 0.0), probs=(0.5, 0.5))
         s = make_sampler(classify(p), SamplerConfig(rho=0.5, radial=radial))
         e = sample_ensemble(s, 50, 400, 7)
-        entries = weak_form_residuals(e, p, degree=2)
+        entries = weak_form_residuals(e, p)
         quad = [x for x in entries if x.test_id.startswith("weak_quad")]
         assert all(x.estimate == 0.0 and x.stderr == 0.0 and x.passed for x in quad)
 
 
 class TestMartingale:
     def test_gaussian_point_passes(self, gauss_ensemble):
-        entries = martingale_residuals(gauss_ensemble, 0.5, 1.0, n_max=4, m_max=4)
+        entries = martingale_residuals(gauss_ensemble, 0.5, 1.0, n_max=4)
         assert len(entries) == 20
         assert all(e.passed for e in entries)
 
     def test_wrong_rho_fails_n2_m2(self, gauss_ensemble):
-        entries = martingale_residuals(gauss_ensemble, 0.55, 1.0, n_max=2, m_max=2)
+        entries = martingale_residuals(gauss_ensemble, 0.55, 1.0, n_max=2)
         by_id = {e.test_id: e for e in entries}
         assert not by_id["mart_n2_m2"].passed
 
     def test_two_point_degenerate_rows_pass_exactly(self, two_point_ensemble):
-        entries = martingale_residuals(two_point_ensemble, 0.5, -1.0, n_max=4, m_max=4)
+        entries = martingale_residuals(two_point_ensemble, 0.5, -1.0, n_max=4)
         for e in entries:
             n = int(e.test_id.split("_")[1][1:])
             m = int(e.test_id.split("_")[2][1:])
@@ -138,6 +135,18 @@ class TestStandardSuite:
         mart_ids = [x.test_id for x in entries if x.test_id.startswith("mart")]
         assert mart_ids == [f"mart_n1_m{m}" for m in range(5)]
         assert all(x.passed for x in entries)
+
+    @pytest.mark.parametrize("p,n_gates", [
+        (GAUSS_POINT, 57),
+        (params_from_rho_q(0.5, 0.5), 57),
+        (FieldParams(0.5, 0.25 / 1.0625, 0.0, 1.0 - 0.5 / 1.0625, 0.0), 57),
+        (FieldParams(0.5, 0.5, 0.0, 0.0, 0.0), 42)],
+        ids=["gaussian", "qgaussian", "twopoint", "scaled"])
+    def test_fixed_battery_size(self, p, n_gates):
+        # 5 lags + 30 weak-form + 2 symmetry gates, and 20 eigen rows (5 when scaled)
+        e = Ensemble(master_seed=0,
+                     values=np.random.default_rng(0).standard_normal((4, 60)))
+        assert len(standard_suite(e, p, classify(p))) == n_gates
 
 
 class TestReport:
@@ -186,7 +195,7 @@ class TestGateCalibration:
         bad = 0
         for seed in range(100):
             e = sample_ensemble(s, 40, 400, seed)
-            entries = weak_form_residuals(e, GAUSS_POINT, degree=4)
+            entries = weak_form_residuals(e, GAUSS_POINT)
             if any(not x.passed for x in entries):
                 bad += 1
         assert bad <= 5
@@ -210,12 +219,12 @@ def _weak_form_unhoisted(e, p, degree):
 
 
 class TestWeakFormHoistedPowers:
-    @pytest.mark.parametrize("degree", [0, 1, 4])
+    @pytest.mark.parametrize("degree", [4])
     def test_bitwise_against_unhoisted(self, gauss_ensemble, degree):
         from qfields.verify import _gate
-        ref = [_gate("", "", m, 4.0) for m in
+        ref = [_gate("", "", m) for m in
                _weak_form_unhoisted(gauss_ensemble, GAUSS_POINT, degree)]
-        got = weak_form_residuals(gauss_ensemble, GAUSS_POINT, degree=degree)
+        got = weak_form_residuals(gauss_ensemble, GAUSS_POINT)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert (g.estimate, g.stderr, g.passed) == (r.estimate, r.stderr, r.passed)
@@ -285,24 +294,6 @@ class TestBlockedStatistics:
 class TestDegenerateBatteries:
     """A battery with no gates left would report a silent pass."""
 
-    def test_k_max_below_one(self, gauss_ensemble):
-        with pytest.raises(ValueError, match="k_max"):
-            empirical_corr(gauss_ensemble, 0.5, k_max=0)
-
-    def test_negative_degree(self, gauss_ensemble):
-        with pytest.raises(ValueError, match="degree"):
-            weak_form_residuals(gauss_ensemble, GAUSS_POINT, degree=-1)
-
     def test_n_max_below_one(self, gauss_ensemble):
         with pytest.raises(ValueError, match="n_max"):
             martingale_residuals(gauss_ensemble, 0.5, 1.0, n_max=0)
-
-    def test_negative_m_max(self, gauss_ensemble):
-        with pytest.raises(ValueError, match="m_max"):
-            martingale_residuals(gauss_ensemble, 0.5, 1.0, m_max=-1)
-
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
-    def test_threshold_not_finite_positive(self, gauss_ensemble, threshold):
-        with pytest.raises(ValueError, match="threshold"):
-            standard_suite(gauss_ensemble, GAUSS_POINT, classify(GAUSS_POINT),
-                           threshold=threshold)
