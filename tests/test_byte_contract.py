@@ -33,7 +33,15 @@ KERNEL_CHECK_DIGESTS = {
     (-0.8, -0.9): "ea750ed9c292e406ae020c918287539bba73a60418c3077c7f556499d50ff3d2",
     (0.95, 0.9): "2542c1bb628047e9069cc7096678aa2c69f8408387fddf39628f61a979bceb32",
     (0.5, 1.0): "b3f33fec691542e142e67a20f5c33c98160892454489817d050384ddfa3358f6",
+    # truncation N = 6, below the top eigen degree 8
+    (0.01, 0.5): "55fe5bc6cb84aa064312750d6924f3cde9b9a3624790a13313b0cf8fdfe49905",
+    (0.3, 0.0): "fd234c47c69da1d87ea476030120aaae9578dadba1a0821bbf75198370bb03f2",
 }
+
+# the first ladder that fails to converge, and so its error estimate, is part of the contract
+KERNEL_CHECK_UNCONVERGED_STDERR = (
+    "validation failure: theta quadrature did not converge at rho=0.5, q=0.99, N=64 "
+    "by 2048 nodes (achieved error estimate 1.649e-04)\n")
 
 CLASSIFY_DIGESTS = {
     "gaussian": "a0c63e752fa16bc2903ccd37ff16e64670297976728ff0350ce0940d5942daae",
@@ -115,6 +123,13 @@ def test_kernel_check_json_bytes(rho, q):
     rc, text = _cli_stdout(["kernel-check", "--rho", repr(rho), "--q", repr(q), "--json"])
     assert rc == 0
     assert _sha(text) == KERNEL_CHECK_DIGESTS[(rho, q)]
+
+
+def test_kernel_check_unconverged_stderr():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(["kernel-check", "--rho", "0.5", "--q", "0.99", "--json"])
+    assert (rc, out.getvalue(), err.getvalue()) == (2, "", KERNEL_CHECK_UNCONVERGED_STDERR)
 
 
 @pytest.mark.parametrize("case", list(CLASSIFY_DIGESTS))
