@@ -3,7 +3,9 @@
 The compact continuous case uses the eigen-expansion kernel
 ``f(x|y) = f_q(x) * sum_n rho^n Q_n(x) Q_n(y) / [n]_q!``: the one-step
 conditional expectation maps Q_n to rho^n Q_n, which the residual operations
-certify by a trapezoid ladder in theta that raises when it does not converge;
+certify by a trapezoid ladder in theta that raises when it does not converge
+(at a point or a sequence of points, with one q-Hermite table per call and one
+ladder per point);
 the Gaussian endpoint uses the closed-form AR(1) kernel, the discrete cases a
 2x2 stochastic matrix (optionally scaled by a chain-constant radius).
 
@@ -108,8 +110,9 @@ class MehlerQ(TransitionKernel):
         return self.q
 
     def expect(self, y: float, g) -> np.ndarray:
+        n1 = self.truncation + 1
         ky = _mehler_coeffs(self) * qpoly.qhermite_all(y, self.q, self.truncation)
-        return _ladder(self, lambda x, wq, tab: g(x) @ (wq * (ky @ tab)))
+        return _ladder(self, lambda x, wq, tab: g(x) @ (wq * (ky @ tab[:n1])))
 
 
 @dataclass(frozen=True)
@@ -265,24 +268,27 @@ def _ar1_density(k: GaussianAR1, x, y):
 _THETA_CACHE: dict = {}
 _NODE_LADDER = (128, 256, 512, 1024, 2048)
 _LADDER_TOL = 1e-9
+_EIGEN_DEGREE_MAX = 12
 
 
 def _theta_data(k: MehlerQ, n_nodes: int):
-    """Nodes x, weights w(theta) d(theta) and Q_0..Q_N(x) of one trapezoid rung,
-    which converges geometrically on even, 2 pi-periodic, analytic integrands."""
+    """Nodes x, weights w(theta) d(theta) and Q_0..Q_M(x), M = max(N, _EIGEN_DEGREE_MAX),
+    of one trapezoid rung, which converges geometrically on even, 2 pi-periodic,
+    analytic integrands.  The kernel reads rows 0..N, the eigen residual row n."""
     key = (k.q, k.truncation, n_nodes)
     if key not in _THETA_CACHE:
         # theta_j = j pi / n, weight pi / n; the endpoints carry none: w vanishes with sin(theta)
         theta = np.arange(1, n_nodes) * (math.pi / n_nodes)
         x = theta_to_x(k.law, theta)
         _THETA_CACHE[key] = (x, (math.pi / n_nodes) * theta_weight(k.law, theta),
-                             qpoly.qhermite_table(x, k.q, k.truncation))
+                             qpoly.qhermite_table(x, k.q, max(k.truncation, _EIGEN_DEGREE_MAX)))
     return _THETA_CACHE[key]
 
 
 def _ladder(k: MehlerQ, rung):
     """Node-doubling in theta: rung(x, wq, tab) on each size of _NODE_LADDER
-    until two sizes agree within _LADDER_TOL; QuadratureError if none do."""
+    until two sizes agree within _LADDER_TOL; QuadratureError if none do.
+    tab holds Q_0..Q_M on the rung's nodes (see _theta_data)."""
     vals = (rung(*_theta_data(k, n_nodes)) for n_nodes in _NODE_LADDER)
     prev, diff = next(vals), math.inf
     for val in vals:
@@ -294,17 +300,40 @@ def _ladder(k: MehlerQ, rung):
                           f"N={k.truncation} by {_NODE_LADDER[-1]} nodes", diff)
 
 
-_EIGEN_DEGREE_MAX = 12
+def _points(x) -> np.ndarray:
+    """The points of a residual call, a scalar or a 1-d sequence, as a 1-d array."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1:
+        raise ValueError("residual points must be a scalar or a 1-d sequence")
+    return xs
 
 
-def eigen_residual(k: TransitionKernel, n: int, y: float) -> float:
-    """|integral Q_n(x) f(x|y) dx - rho^n Q_n(y)| for the kernel's q."""
+def _per_point(x, out: np.ndarray):
+    """A float for a scalar call, the array of residuals for a sequence."""
+    return out if np.ndim(x) else float(out[0])
+
+
+def eigen_residual(k: TransitionKernel, n: int, y):
+    """|integral Q_n(x) f(x|y) dx - rho^n Q_n(y)| for the kernel's q, at a point y
+    (a float) or at each of a sequence of points (an array); each point runs its
+    own quadrature, in order."""
     if not 0 <= n <= _EIGEN_DEGREE_MAX:
         raise ValueError(f"degree n must be in [0, {_EIGEN_DEGREE_MAX}]")
-    deg = max(n, 1)
-    val = k.expect(y, lambda x: qpoly.qhermite_table(x, k.eigen_q, deg)[n:n + 1])[0]
-    target = k.rho ** n * qpoly.qhermite_all(y, k.eigen_q, deg)[n]
-    return float(abs(float(val) - target))
+    ys = _points(y)
+    if isinstance(k, MehlerQ):
+        n1 = k.truncation + 1
+        coeffs = _mehler_coeffs(k)
+        qy = qpoly.qhermite_table(ys, k.q, max(k.truncation, n))
+        vals = []
+        for j in range(ys.size):
+            ky = coeffs * qy[:n1, j]
+            vals.append(_ladder(k, lambda x, wq, tab: tab[n:n + 1] @ (wq * (ky @ tab[:n1])))[0])
+    else:
+        deg = max(n, 1)
+        qy = qpoly.qhermite_table(ys, k.eigen_q, deg)
+        vals = [k.expect(yj, lambda x: qpoly.qhermite_table(x, k.eigen_q, deg)[n:n + 1])[0]
+                for yj in ys]
+    return _per_point(y, np.abs(np.array(vals, dtype=float) - k.rho ** n * qy[n]))
 
 
 def conditional_moment_residual(k: TransitionKernel, p: FieldParams, y: float) -> dict:
@@ -318,19 +347,28 @@ def conditional_moment_residual(k: TransitionKernel, p: FieldParams, y: float) -
     }
 
 
-def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x: float) -> float:
+def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x):
     """|integral f(x|y) d nu(y) - f_nu(x)| (continuous) or the total-variation
-    mismatch of pi P vs pi (atomic; x selects nothing there)."""
+    mismatch of pi P vs pi (atomic; x selects nothing there), at a point x (a
+    float) or at each of a sequence of points (an array), in order."""
     if spec != k.law:
         raise ValueError("kernel/measure pair mismatch")
+    xs = _points(x)
     if isinstance(k, MehlerQ):
-        fx = density(spec, x)
-        kx = _mehler_coeffs(k) * qpoly.qhermite_all(x, k.q, k.truncation)
-        val = _ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab)))
-        return float(abs(val - fx))
+        n1 = k.truncation + 1
+        coeffs = _mehler_coeffs(k)
+        qx = qpoly.qhermite_table(xs, k.q, k.truncation)
+        out = np.empty(xs.size)
+        for j, xj in enumerate(xs):
+            # one density call per point: a vector call sums its product in other blocks
+            fx = density(spec, xj)
+            kx = coeffs * qx[:, j]
+            out[j] = abs(_ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab[:n1]))) - fx)
+        return _per_point(x, out)
     if isinstance(k, GaussianAR1):
-        return abs(integrate_gaussian(lambda yv: _ar1_density(k, x, yv), n=160)
-                   - density(spec, x))
+        return _per_point(x, np.array([
+            abs(integrate_gaussian(lambda yv: _ar1_density(k, xj, yv), n=160)
+                - density(spec, xj)) for xj in xs]))
     # atomic: enumerate the states of the law R*Y
     states: list[float] = []
     probs: list[float] = []
@@ -347,7 +385,7 @@ def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x: float) -> f
         nxt, pr = k._rule(float(s))
         for t, p in zip(nxt, pr):
             pi_next[np.argmin(np.abs(states - t))] += pi[i] * p
-    return 0.5 * float(np.abs(pi_next - pi).sum())
+    return _per_point(x, np.full(xs.size, 0.5 * float(np.abs(pi_next - pi).sum())))
 
 
 def two_point_matrix(rho: float) -> np.ndarray:
@@ -360,28 +398,36 @@ def two_point_matrix(rho: float) -> np.ndarray:
     return np.array([[stay, flip], [flip, stay]])
 
 
-def chapman_kolmogorov_residual(k: TransitionKernel, x: float, z: float) -> float:
+def chapman_kolmogorov_residual(k: TransitionKernel, x, z):
     """|integral f(x|y) f(y|z) dy - f_2(x|z)| where f_2 is the kernel with
-    rho^2 (same truncation, so the comparison isolates quadrature error)."""
+    rho^2 (same truncation, so the comparison isolates quadrature error), at a
+    pair of points (a float) or at each pair of two equal-length sequences (an
+    array), in order."""
+    xs, zs = _points(x), _points(z)
+    if xs.shape != zs.shape:
+        raise ValueError("x and z must be two points or two sequences of one length")
     if isinstance(k, GaussianAR1):
         k2 = GaussianAR1(k.rho * k.rho)
         sd = math.sqrt(1.0 - k.rho * k.rho)
         # Gauss-Hermite against f(y|z) = N(rho*z, sd^2) leaves f(x|y) as integrand
-        val = integrate_gaussian(lambda yv: _ar1_density(k, x, yv),
-                                 mean=k.rho * z, sd=sd, n=160)
-        return abs(val - transition_density(k2, x, z))
+        return _per_point(x, np.array([
+            abs(integrate_gaussian(lambda yv: _ar1_density(k, xj, yv), mean=k.rho * zj, sd=sd,
+                                   n=160) - transition_density(k2, xj, zj))
+            for xj, zj in zip(xs, zs)]))
     if not isinstance(k, MehlerQ):
         raise ValueError("Chapman-Kolmogorov check applies to continuous kernels")
+    n1 = k.truncation + 1
     coeffs = _mehler_coeffs(k)
-    coeffs2 = (k.rho * k.rho) ** np.arange(k.truncation + 1) / qpoly.q_factorials(
-        k.truncation, k.q)
-    fx = density(k.law, x)
-    qx = qpoly.qhermite_all(x, k.q, k.truncation)
-    qz = qpoly.qhermite_all(z, k.q, k.truncation)
-    kx, kz = coeffs * qx, coeffs * qz
-    val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab) * (kz @ tab))))
-    target = fx * float(coeffs2 @ (qx * qz))
-    return abs(val - target)
+    coeffs2 = (k.rho * k.rho) ** np.arange(n1) / qpoly.q_factorials(k.truncation, k.q)
+    qxz = qpoly.qhermite_table(np.concatenate([xs, zs]), k.q, k.truncation)
+    out = np.empty(xs.size)
+    for j, xj in enumerate(xs):
+        fx = density(k.law, xj)
+        qx, qz = qxz[:, j], qxz[:, xs.size + j]
+        kx, kz = coeffs * qx, coeffs * qz
+        val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab[:n1]) * (kz @ tab[:n1]))))
+        out[j] = abs(val - fx * float(coeffs2 @ (qx * qz)))
+    return _per_point(x, out)
 
 
 def detailed_balance_residual(k: TransitionKernel, spec: MeasureSpec,

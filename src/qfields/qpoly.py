@@ -10,6 +10,7 @@ measure exists).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,8 @@ def favard_scan(rho: float, q: float, n_max: int) -> FavardVerdict:
     """
     if not 0.0 < abs(rho) < 1.0:
         raise ValueError("rho must satisfy 0 < |rho| < 1")
+    if not math.isfinite(q):  # a NaN coefficient compares false both ways
+        raise ValueError(f"q must be finite, got {q}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rho2 = rho * rho

@@ -110,6 +110,13 @@ class TestFavard:
         _, out, _ = run_capture(capsys, ["favard", "--rho", "0.5", "--q", "0.5", "--nmax", "50"])
         assert out.strip() == "AllPositive"
 
+    @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
+    def test_non_finite_q_is_a_validation_failure(self, capsys, q):
+        code, out, err = run_capture(capsys, ["favard", "--rho", "0.5", f"--q={q}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation failure: q must be finite")
+
 
 class TestDensity:
     def test_writes_csv(self, capsys, tmp_path):

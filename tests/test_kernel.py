@@ -301,3 +301,63 @@ class TestTrapezoidLadder:
         with pytest.raises(QuadratureError, match=r"rho=0\.5, q=0\.99, N=64 by 2048") as err:
             eigen_residual(k, 0, y)
         assert err.value.estimate > 1e-9
+
+
+class TestResidualSequences:
+    """A sequence of points gives the residuals of the scalar calls, bit for bit."""
+
+    @staticmethod
+    def _points(k):
+        s = 2.0 if isinstance(k, GaussianAR1) else measure.support(k.law)[1]
+        return [c * s for c in (-0.8, -0.4, 0.0, 0.4, 0.8)]
+
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.8, -0.9), (0.01, 0.5), (0.5, 1.0)])
+    def test_sequence_equals_scalar_calls(self, rho, q):
+        k = GaussianAR1(rho) if q == 1.0 else mehler_kernel(rho, q)
+        ys = self._points(k)
+        zs = ys[::-1]
+        for n in range(kernel._EIGEN_DEGREE_MAX + 1):  # (0.01, 0.5) truncates at N = 6
+            assert eigen_residual(k, n, ys).tolist() == [eigen_residual(k, n, y) for y in ys]
+        assert stationarity_residual(k, k.law, ys).tolist() == \
+            [stationarity_residual(k, k.law, x) for x in ys]
+        assert chapman_kolmogorov_residual(k, ys, zs).tolist() == \
+            [chapman_kolmogorov_residual(k, x, z) for x, z in zip(ys, zs)]
+        assert all(isinstance(r, float) for r in (
+            eigen_residual(k, 2, ys[0]), stationarity_residual(k, k.law, ys[0]),
+            chapman_kolmogorov_residual(k, ys[0], zs[0])))
+
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.8, -0.9), (0.01, 0.5)])
+    def test_one_rung_raises_the_scalar_error(self, rho, q, monkeypatch):
+        from qfields.quadrature import QuadratureError
+        monkeypatch.setattr(kernel, "_NODE_LADDER", (128,))
+        k = mehler_kernel(rho, q)
+        ys = self._points(k)
+        for call in (lambda y: eigen_residual(k, 3, y),
+                     lambda y: stationarity_residual(k, k.law, y),
+                     lambda y: chapman_kolmogorov_residual(k, y, y)):
+            with pytest.raises(QuadratureError) as seq:
+                call(ys)
+            with pytest.raises(QuadratureError) as one:
+                call(ys[0])
+            assert (seq.value.args, seq.value.estimate) == (one.value.args, one.value.estimate)
+
+    def test_first_unconverged_point_raises(self):
+        # at (0.5, 0.99) the ladders converge at 0 and -0.4 S and fail at 0.8 S and -0.8 S,
+        # with different error estimates
+        from qfields.quadrature import QuadratureError
+        k = mehler_kernel(0.5, 0.99)
+        ys = [c * measure.support(k.law)[1] for c in (0.0, -0.4, 0.8, -0.8)]
+        with pytest.raises(QuadratureError) as seq:
+            eigen_residual(k, 0, ys)
+        with pytest.raises(QuadratureError) as one:
+            eigen_residual(k, 0, ys[2])
+        with pytest.raises(QuadratureError) as last:
+            eigen_residual(k, 0, ys[3])
+        assert seq.value.estimate == one.value.estimate != last.value.estimate
+
+    def test_points_must_pair_up(self):
+        k = mehler_kernel(0.5, 0.5)
+        with pytest.raises(ValueError, match="one length"):
+            chapman_kolmogorov_residual(k, [0.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="1-d"):
+            stationarity_residual(k, k.law, [[0.0]])
