@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -19,8 +20,7 @@ import numpy as np
 from . import kernel as kernel_mod
 from . import measure, params, qpoly, verify
 from .quadrature import QuadratureError
-from .simulate import SamplerConfig, SamplerError, _check_counts, make_sampler, \
-    read_csv, sample_csv
+from .simulate import SamplerConfig, _check_counts, make_sampler, read_csv, sample_csv
 
 __all__ = ["main", "run"]
 
@@ -32,7 +32,17 @@ class _UsageError(Exception):
     pass
 
 
+# a token float() reads that starts with '-': argparse's own matcher takes only -digits
+# and -digits.digits for values, so -1e-05 (a float's repr), -inf and -nan read as options
+_NEGATIVE_FLOAT = re.compile(r"-(?:inf(?:inity)?|nan|(?:(?:\d(?:_?\d)*)?\.\d(?:_?\d)*"
+                             r"|\d(?:_?\d)*\.?)(?:e[-+]?\d(?:_?\d)*)?)\Z", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
     def error(self, message):  # exit code 1 instead of argparse's 2
         raise _UsageError(message)
 
@@ -137,10 +147,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    if args.q is not None:
-        fp = params.params_from_rho_q(args.rho, args.q)
-    else:
-        fp = params.params_from_rho_b(args.rho, args.B)
+    flag, value = ("q", args.q) if args.q is not None else ("B", args.B)
+    if not math.isfinite(value):  # every derived value would be NaN
+        raise ValueError(f"{flag} must be finite, got {value}")
+    build = params.params_from_rho_q if flag == "q" else params.params_from_rho_b
+    fp = build(args.rho, value)
     d = params.derive(fp)
     payload = {
         "rho": fp.rho, "A": fp.A, "B": fp.B, "C": fp.C, "D": fp.D,
@@ -368,8 +379,7 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(text)
     n_fail = verify.n_failures(report)
     if not args.json and args.report:
-        print(f"{len(entries)} tests, {n_fail} failures"
-              + (f"; report written to {args.report}" if args.report else ""))
+        print(f"{len(entries)} tests, {n_fail} failures; report written to {args.report}")
     return 3 if n_fail else 0
 
 
@@ -399,8 +409,7 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (params.DegenerateDenominatorError, SamplerError, ValueError,
-            QuadratureError) as exc:
+    except (ValueError, QuadratureError) as exc:  # SamplerError is a ValueError, too
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

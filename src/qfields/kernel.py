@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "TwoPointChain",
     "ScaledTwoPointChain",
     "PositivityError",
-    "ClampStats",
     "mehler_kernel",
     "transition_density",
     "eigen_residual",
@@ -43,30 +42,12 @@ __all__ = [
     "stationarity_residual",
     "two_point_matrix",
     "chapman_kolmogorov_residual",
-    "detailed_balance_residual",
 ]
 
 
 class PositivityError(RuntimeError):
     """Negative kernel values beyond the clamp threshold: the truncation /
     parameter combination cannot represent a positive kernel."""
-
-
-class ClampStats:
-    """Mutable accumulator of clamped negative mass (diagnostic only)."""
-
-    __slots__ = ("count", "total", "worst")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.worst = 0.0
-
-    def record(self, neg: np.ndarray) -> None:
-        if neg.size:
-            self.count += int(neg.size)
-            self.total += float(-neg.sum())
-            self.worst = max(self.worst, float(-neg.min()))
 
 
 class TransitionKernel:
@@ -99,7 +80,6 @@ class MehlerQ(TransitionKernel):
     q: float
     truncation: int
     tail_estimate: float
-    clamp_stats: ClampStats = field(compare=False, repr=False, default_factory=ClampStats)
 
     @property
     def law(self) -> QGaussian:
@@ -233,8 +213,8 @@ def _mehler_sum_and_last(k: MehlerQ, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transition_density(k: TransitionKernel, x, y: float):
-    """Conditional density f(x | y); MehlerQ values are clamped at zero and
-    the clamped magnitude recorded, values below -_TOL_NEG raise."""
+    """Conditional density f(x | y); MehlerQ values are clamped at zero,
+    values below -_TOL_NEG raise."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(k, GaussianAR1):
         out = _ar1_density(k, xs, y)
@@ -252,7 +232,6 @@ def transition_density(k: TransitionKernel, x, y: float):
                 raise PositivityError(
                     f"kernel positivity violation: value {worst:.3e} exceeds the "
                     f"clamp threshold at (rho={k.rho}, q={k.q}, N={k.truncation})")
-            k.clamp_stats.record(out[mask])
             out = np.maximum(out, 0.0)
     else:
         raise ValueError(f"{k.name} is atomic and has no transition density")
@@ -428,16 +407,3 @@ def chapman_kolmogorov_residual(k: TransitionKernel, x, z):
         val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab[:n1]) * (kz @ tab[:n1]))))
         out[j] = abs(val - fx * float(coeffs2 @ (qx * qz)))
     return _per_point(x, out)
-
-
-def detailed_balance_residual(k: TransitionKernel, spec: MeasureSpec,
-                              x: float, y: float) -> float:
-    """|f(x|y) f_nu(y) - f(y|x) f_nu(x)| on the unclamped series."""
-    if isinstance(k, MehlerQ):
-        s = mehler_sum(k, np.array([x]), np.array([y]))[0, 0]
-        s_t = mehler_sum(k, np.array([y]), np.array([x]))[0, 0]
-        return float(abs(density(spec, x) * density(spec, y) * (s - s_t)))
-    if isinstance(k, GaussianAR1):
-        return float(abs(transition_density(k, x, y) * density(spec, y)
-                         - transition_density(k, y, x) * density(spec, x)))
-    raise ValueError("detailed balance check applies to continuous kernels")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qpoly import q_brackets
-from .quadrature import QuadratureError, gl_nodes, integrate_gaussian
+from .quadrature import QuadratureError, gl_nodes
 
 __all__ = [
     "MeasureSpec",
@@ -71,6 +71,8 @@ class QGaussian(MeasureSpec):
 
 @dataclass(frozen=True)
 class StdGaussian(MeasureSpec):
+    q = 1.0  # the q = 1 end of the q-Gaussian family
+
     def draw(self, u) -> np.ndarray:
         from scipy.special import ndtri
 
@@ -79,7 +81,9 @@ class StdGaussian(MeasureSpec):
 
 @dataclass(frozen=True)
 class TwoPointSym(MeasureSpec):
-    """(delta_{-1} + delta_{+1}) / 2."""
+    """(delta_{-1} + delta_{+1}) / 2, the q = -1 end of the q-Gaussian family."""
+
+    q = -1.0
 
     def draw(self, u) -> np.ndarray:
         return np.where(u[0] < 0.5, 1.0, -1.0)
@@ -266,16 +270,13 @@ def moment(spec: MeasureSpec, k: int) -> float:
         return 1.0
     if k % 2 == 1:
         return 0.0
-    if isinstance(spec, TwoPointSym):
-        return 1.0
     if isinstance(spec, ScaledTwoPoint):
         return float(sum(p * v ** k for v, p in zip(spec.radial.values, spec.radial.probs)))
-    if isinstance(spec, StdGaussian):
-        return integrate_gaussian(lambda t: t ** k, n=max(32, k + 2))
-    if isinstance(spec, QGaussian):
+    if isinstance(spec, (QGaussian, StdGaussian, TwoPointSym)):
         # (J^k)_00 for x Q_n = Q_{n+1} + [n]_q Q_{n-1}: Dyck paths whose down-steps
-        # from height h weigh [h]_q (Flajolet 1980), all terms positive; v[h] sums
-        # the paths so far ending at height h (none above k/2 can return to 0)
+        # from height h weigh [h]_q (Flajolet 1980), all terms nonnegative; v[h] sums
+        # the paths so far ending at height h (none above k/2 can return to 0).  At
+        # q = 1, [h]_1 = h gives (k-1)!!; at q = -1, [h]_-1 alternates 1, 0 and gives 1
         br, v = q_brackets(k // 2, spec.q), np.eye(1, k // 2 + 1)[0]
         for _ in range(k):
             v = np.concatenate(([0.0], v[:-1])) + np.append(br[1:] * v[1:], 0.0)

@@ -27,12 +27,7 @@ def q_bracket(n: int, q: float) -> float:
 
     Exact for q = 1 ([n]_1 = n) and q = -1 ([n]_-1 alternates 1, 0).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    acc = 0.0
-    for _ in range(n):
-        acc = acc * q + 1.0
-    return acc
+    return float(q_brackets(n, q)[n])
 
 
 def q_brackets(n_max: int, q: float) -> np.ndarray:
@@ -48,13 +43,7 @@ def q_brackets(n_max: int, q: float) -> np.ndarray:
 
 def q_factorial(n: int, q: float) -> float:
     """[n]_q! = prod_{j=1..n} [j]_q; empty product 1 for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out, br = 1.0, 0.0
-    for _ in range(n):
-        br = br * q + 1.0
-        out *= br
-    return out
+    return float(q_factorials(n, q)[n])
 
 
 def q_factorials(n_max: int, q: float) -> np.ndarray:
@@ -167,6 +156,8 @@ def favard_scan(rho: float, q: float, n_max: int) -> FavardVerdict:
     c_n < -1e-10 wins FailsAt (no positive measure), otherwise AllPositive.
     For q in (-1, 1] every coefficient is bounded below by (1 - rho^2)
     times a positive bracket, so the scan is guaranteed AllPositive there.
+    For q > 1, c_n < 0 from n = 2 + floor(ln(rho^-2) / ln q) on, so AllPositive
+    is never the answer there: a scan that ends undecided raises ValueError naming n.
     """
     if not 0.0 < abs(rho) < 1.0:
         raise ValueError("rho must satisfy 0 < |rho| < 1")
@@ -190,4 +181,8 @@ def favard_scan(rho: float, q: float, n_max: int) -> FavardVerdict:
         if c < -_FAVARD_ZERO:
             return FailsAt(n0=n)
         qpow *= q
+    if q > 1.0:
+        n_neg = 2 + math.floor(math.log(1.0 / rho2) / math.log(q))
+        raise ValueError(f"scan undecided by n_max = {n_max}: at q = {q!r} > 1 the "
+                         f"coefficients turn negative at n = {n_neg}")
     return AllPositive()

@@ -72,14 +72,13 @@ class ConditionalTables:
     """Inverse-CDF tables of f(.|y) on a cosine grid of conditioning states.
 
     ``quantiles[j, i]`` is the conditional quantile at state y_nodes[j] and
-    uniform level u_grid[i]; lookups interpolate linearly in u on the dense
+    uniform level i / (_N_U - 1); lookups interpolate linearly in u on the dense
     grid and cubically across the four nearest states.  ``stencil_den[j0, a]``
     holds the Lagrange denominators y_nodes[j0+a] - y_nodes[j0+b] of the
     stencil starting at row j0, over b in 0..3 without a, in increasing b.
     """
 
     y_nodes: np.ndarray
-    u_grid: np.ndarray
     quantiles: np.ndarray
     support_radius: float
     stencil_den: np.ndarray
@@ -231,8 +230,8 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
     np.clip(quant, -s, s, out=quant)
     j0 = np.arange(_N_Y - 3)[:, None, None]
     den = y_nodes[j0 + _STENCIL_ROWS[:, None]] - y_nodes[j0 + _STENCIL_OTHERS]
-    return ConditionalTables(y_nodes=y_nodes, u_grid=u_grid, quantiles=quant,
-                             support_radius=s, stencil_den=den)
+    return ConditionalTables(y_nodes=y_nodes, quantiles=quant, support_radius=s,
+                             stencil_den=den)
 
 
 def _conditional_quantile(tables: ConditionalTables, y: np.ndarray,

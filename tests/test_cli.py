@@ -71,6 +71,15 @@ class TestDerive:
         assert code == 2
         assert "validation failure" in err
 
+    @pytest.mark.parametrize("flag", ["--q", "--B"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
+    def test_non_finite_is_a_validation_failure(self, capsys, flag, value):
+        # every derived value would be NaN, and --json would emit NaN, which is no JSON
+        code, out, err = run_capture(capsys, ["derive", "--rho", "0.5", flag, value, "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"validation failure: {flag[2:]} must be finite")
+
 
 class TestBoundaryAndCoeffs:
     def test_boundary_json(self, capsys):
@@ -109,6 +118,17 @@ class TestFavard:
     def test_all_positive(self, capsys):
         _, out, _ = run_capture(capsys, ["favard", "--rho", "0.5", "--q", "0.5", "--nmax", "50"])
         assert out.strip() == "AllPositive"
+
+    @pytest.mark.parametrize("nmax, verdict", [("100", None), ("5000", "FailsAt n=141")])
+    def test_q_above_one_is_never_all_positive(self, capsys, nmax, verdict):
+        code, out, err = run_capture(capsys, ["favard", "--rho", "0.5", "--q", "1.01",
+                                              "--nmax", nmax])
+        if verdict is None:
+            assert (code, out) == (2, "")
+            assert err.startswith("validation failure: scan undecided by n_max = 100")
+            assert "turn negative at n = 141" in err
+        else:
+            assert (code, out.strip()) == (0, verdict)
 
     @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
     def test_non_finite_q_is_a_validation_failure(self, capsys, q):
@@ -320,6 +340,51 @@ class TestSampleVerify:
                      "--chains", "4", "--steps", "20", "--seed", "2",
                      "--out", str(out_path)])
         assert code == 0
+
+
+PARAM_FLAGS = ["--rho", "T", "--A", "T", "--B", "T", "--C", "T", "--D", "T"]
+
+
+class TestFloatFlags:
+    """Every float flag takes a space-separated value that float() reads, negative
+    literals argparse alone would take for options included."""
+
+    @pytest.mark.parametrize("token", ["-1e-05", "-5E-1", "-inf", "-nan", "-.25", "0.5"])
+    @pytest.mark.parametrize("argv", [
+        ["classify", *PARAM_FLAGS], ["coeffs", *PARAM_FLAGS],
+        ["verify", "--in", "x.csv", *PARAM_FLAGS],
+        ["derive", "--rho", "T", "--q", "T"], ["derive", "--rho", "T", "--B", "T"],
+        ["favard", "--rho", "T", "--q", "T"], ["kernel-check", "--rho", "T", "--q", "T"],
+        ["density", "--q", "T", "--out", "x.csv"],
+        ["sample", "--rho", "T", "--q", "T", "--out", "x.csv"]])
+    def test_value_is_read(self, argv, token):
+        args = cli._build_parser().parse_args([token if a == "T" else a for a in argv])
+        flags = [a for a, v in zip(argv, argv[1:]) if v == "T"]
+        assert [repr(getattr(args, f[2:])) for f in flags] == [repr(float(token))] * len(flags)
+
+    @pytest.mark.parametrize("token", ["-1e-05", "-inf", "-nan", "-5E-1", "-.5", "-1.", "-2",
+                                       "-Infinity", "-1_000.5e+3", "-1__0", "-1e", "-e5",
+                                       "-.", "-1.2.3", "-infin", "-nanx", "--1", "-0x10",
+                                       "-1_", "-_1", "--q", "-h"])
+    def test_matcher_agrees_with_float(self, token):
+        try:
+            float(token)
+        except ValueError:
+            reads = False
+        else:
+            reads = True
+        assert bool(cli._NEGATIVE_FLOAT.match(token)) == reads
+
+    def test_non_float_stays_a_usage_error(self, capsys):
+        code, out, err = run_capture(capsys, ["derive", "--rho", "0.5", "--q", "-e5"])
+        assert (code, out) == (1, "")
+        assert "argument --q: expected one argument" in err
+
+    def test_float_repr_round_trips(self, capsys):
+        code, out, _ = run_capture(capsys, ["derive", "--rho", "0.5", "--q", repr(-1e-05),
+                                            "--json"])
+        assert code == 0
+        assert json.loads(out)["A"] == pytest.approx(0.2, abs=1e-5)
 
 
 class TestUsageErrors:

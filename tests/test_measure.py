@@ -102,6 +102,12 @@ class TestMoment:
     def test_gaussian_fourth(self):
         assert moment(StdGaussian(), 4) == pytest.approx(3.0, abs=1e-10)
 
+    @pytest.mark.parametrize("k", range(2, 17, 2))
+    def test_family_ends_exact(self, k):
+        # q = 1 and q = -1 ends of the Dyck-path sum: (k-1)!! and the +-1 law's 1
+        assert moment(StdGaussian(), k) == math.prod(range(1, k, 2))
+        assert moment(TwoPointSym(), k) == 1.0
+
     def test_atomic(self):
         assert moment(TwoPointSym(), 2) == 1.0
         radial = RadialLaw(values=(math.sqrt(2.0), 0.0), probs=(0.5, 0.5))

@@ -145,6 +145,15 @@ class TestFavard:
             q = rng.uniform(-0.999, 1.0)
             assert favard_scan(rho, q, 300) == AllPositive()
 
+    @pytest.mark.parametrize("q, n_neg", [(1.01, 141), (1.001, 1388)])
+    def test_undecided_above_one_raises(self, q, n_neg):
+        # c_n -> -inf at q > 1: a scan that ends before the sign change is no AllPositive
+        with pytest.raises(ValueError, match=f"turn negative at n = {n_neg}$"):
+            favard_scan(0.5, q, 100)
+        with pytest.raises(ValueError, match=f"turn negative at n = {n_neg}$"):
+            favard_scan(0.5, q, n_neg - 1)
+        assert favard_scan(0.5, q, n_neg) == FailsAt(n0=n_neg)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             favard_scan(0.0, 0.5, 10)
