@@ -195,17 +195,12 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_favard(args) -> int:
     verdict = qpoly.favard_scan(args.rho, args.q, args.nmax)
-    if isinstance(verdict, qpoly.TerminatesAt):
-        line = f"TerminatesAt n={verdict.n0}"
-        if verdict.m is not None:
-            line += f" (lattice m={verdict.m})"
-        payload = {"verdict": "TerminatesAt", "n0": verdict.n0, "m": verdict.m}
-    elif isinstance(verdict, qpoly.FailsAt):
-        line = f"FailsAt n={verdict.n0}"
-        payload = {"verdict": "FailsAt", "n0": verdict.n0}
-    else:
-        line = "AllPositive"
-        payload = {"verdict": "AllPositive"}
+    payload = {"verdict": verdict.name, **dataclasses.asdict(verdict)}
+    line = verdict.name
+    if "n0" in payload:
+        line += f" n={payload['n0']}"
+    if payload.get("m") is not None:
+        line += f" (lattice m={payload['m']})"
     _emit(payload, args.json, [line])
     return 0
 

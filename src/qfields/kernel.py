@@ -126,7 +126,6 @@ class TwoPointChain(_SignChain):
     rho: float
 
     law = TwoPointSym()
-    radial = RadialLaw(values=(1.0,), probs=(1.0,))
 
     def _rule(self, y: float) -> tuple[np.ndarray, np.ndarray]:
         if y not in (-1.0, 1.0):
@@ -327,9 +326,8 @@ def conditional_moment_residual(k: TransitionKernel, p: FieldParams, y: float) -
 
 
 def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x):
-    """|integral f(x|y) d nu(y) - f_nu(x)| (continuous) or the total-variation
-    mismatch of pi P vs pi (atomic; x selects nothing there), at a point x (a
-    float) or at each of a sequence of points (an array), in order."""
+    """|integral f(x|y) d nu(y) - f_nu(x)| for a continuous kernel, at a point x
+    (a float) or at each of a sequence of points (an array), in order."""
     if spec != k.law:
         raise ValueError("kernel/measure pair mismatch")
     xs = _points(x)
@@ -345,26 +343,19 @@ def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x):
             out[j] = abs(_ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab[:n1]))) - fx)
         return _per_point(x, out)
     if isinstance(k, GaussianAR1):
+        # Gauss-Hermite against the narrower Gaussian factor in y: N(0, 1) with f(x|y)
+        # as integrand, or, once rho^2 > 1/2, f(x|.) = N(x/rho, (1 - rho^2)/rho^2)/|rho|
+        # with the N(0, 1) density as integrand
+        r = k.rho
+        if r * r <= 0.5:
+            return _per_point(x, np.array([
+                abs(integrate_gaussian(lambda yv: _ar1_density(k, xj, yv), n=160)
+                    - density(spec, xj)) for xj in xs]))
+        sd = math.sqrt(1.0 - r * r) / abs(r)
         return _per_point(x, np.array([
-            abs(integrate_gaussian(lambda yv: _ar1_density(k, xj, yv), n=160)
-                - density(spec, xj)) for xj in xs]))
-    # atomic: enumerate the states of the law R*Y
-    states: list[float] = []
-    probs: list[float] = []
-    for v, p in zip(k.radial.values, k.radial.probs):
-        if v == 0.0:
-            states.append(0.0)
-            probs.append(p)
-        else:
-            states.extend([-v, v])
-            probs.extend([p / 2.0, p / 2.0])
-    states, pi = np.asarray(states), np.asarray(probs)
-    pi_next = np.zeros_like(pi)
-    for i, s in enumerate(states):
-        nxt, pr = k._rule(float(s))
-        for t, p in zip(nxt, pr):
-            pi_next[np.argmin(np.abs(states - t))] += pi[i] * p
-    return _per_point(x, np.full(xs.size, 0.5 * float(np.abs(pi_next - pi).sum())))
+            abs(integrate_gaussian(lambda yv: density(spec, yv), mean=xj / r, sd=sd, n=160)
+                / abs(r) - density(spec, xj)) for xj in xs]))
+    raise ValueError(f"{k.name} is atomic and has no stationarity residual")
 
 
 def two_point_matrix(rho: float) -> np.ndarray:

@@ -91,7 +91,8 @@ class TwoPointSym(MeasureSpec):
 
 @dataclass(frozen=True)
 class RadialLaw:
-    """Finite nonnegative discrete law with E R^2 = 1.
+    """Finite nonnegative discrete law with E R^2 = 1; values and probabilities
+    must be finite.
 
     Accepted as a list of (value, probability) pairs.  An atom at zero is
     permitted; the product construction X = R*Y is then one of several
@@ -104,6 +105,8 @@ class RadialLaw:
     def __post_init__(self):
         if len(self.values) != len(self.probs) or not self.values:
             raise ValueError("radial law needs matching, nonempty values/probs")
+        if not all(math.isfinite(v) for v in (*self.values, *self.probs)):
+            raise ValueError("radial values and probabilities must be finite")
         if any(v < 0.0 for v in self.values):
             raise ValueError("radial values must be nonnegative")
         if any(p < 0.0 for p in self.probs):

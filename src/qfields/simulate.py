@@ -28,11 +28,10 @@ import numpy as np
 
 from . import measure
 from .kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TransitionKernel,
-                     TwoPointChain, mehler_kernel, mehler_sum, stationarity_residual)
+                     TwoPointChain, mehler_kernel, mehler_sum)
 from .measure import RadialLaw, pchip, theta_cells, theta_to_x, theta_weight
 from .params import Classification, ExistsGaussian, ExistsQGaussian, \
     ExistsScaledTwoPoint, ExistsTwoPointSymmetric
-from .quadrature import QuadratureError
 
 __all__ = [
     "SamplerConfig",
@@ -45,8 +44,6 @@ __all__ = [
     "write_csv",
     "read_csv",
 ]
-
-_STATIONARITY_CERT_TOL = 1e-6
 
 
 class SamplerError(ValueError):
@@ -106,27 +103,12 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class ChainSampler:
-    """A case's kernel and stationary law with its step rule: chains start at
-    ``initial.draw`` and advance by x_t = step(x_{t-1}, u_t)."""
+    """A case's kernel with its step rule: chains start at ``kernel.law.draw``
+    and advance by x_t = step(x_{t-1}, u_t)."""
 
     kernel: TransitionKernel
-    initial: measure.MeasureSpec
-    classification: Classification
     step: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False, compare=False)
     conditional: ConditionalTables | None = field(default=None, repr=False)
-
-
-def _certified(c: Classification, kern: TransitionKernel, probe_xs, step,
-               conditional: ConditionalTables | None = None) -> ChainSampler:
-    """The sampler of kern once its law passes the stationarity check at probe_xs."""
-    try:
-        worst = float(np.max([stationarity_residual(kern, kern.law, x) for x in probe_xs]))
-    except QuadratureError as exc:  # the message names rho and q
-        raise SamplerError(f"initial law failed stationarity certification: {exc}") from None
-    if not worst <= _STATIONARITY_CERT_TOL:  # a NaN residual fails too
-        raise SamplerError(f"initial law failed stationarity certification "
-                           f"(residual {worst:.3e})")
-    return ChainSampler(kern, kern.law, c, step, conditional)
 
 
 def _flip_step(rho: float):
@@ -137,27 +119,23 @@ def _flip_step(rho: float):
 def _gaussian(c: ExistsGaussian, cfg: SamplerConfig) -> ChainSampler:
     kern = GaussianAR1(cfg.rho)
     sd = math.sqrt(1.0 - kern.rho * kern.rho)
-    return _certified(c, kern, (-1.0, 0.0, 1.5),
-                      lambda x, u: kern.rho * x + sd * kern.law.draw((u,)))
+    return ChainSampler(kern, lambda x, u: kern.rho * x + sd * kern.law.draw((u,)))
 
 
 def _qgaussian(c: ExistsQGaussian, cfg: SamplerConfig) -> ChainSampler:
     kern = mehler_kernel(cfg.rho, c.q)
     tables = _build_conditional_tables(kern)
-    s = tables.support_radius
-    return _certified(c, kern, (-0.55 * s, 0.1 * s, 0.4 * s),
-                      partial(_conditional_quantile, tables), tables)
+    return ChainSampler(kern, partial(_conditional_quantile, tables), tables)
 
 
 def _twopoint(c: ExistsTwoPointSymmetric, cfg: SamplerConfig) -> ChainSampler:
-    return _certified(c, TwoPointChain(cfg.rho), (1.0,), _flip_step(cfg.rho))
+    return ChainSampler(TwoPointChain(cfg.rho), _flip_step(cfg.rho))
 
 
 def _scaled(c: ExistsScaledTwoPoint, cfg: SamplerConfig) -> ChainSampler:
     if cfg.radial is None:
         raise SamplerError("scaled two-point case requires a radial law")
-    return _certified(c, ScaledTwoPointChain(cfg.rho, cfg.radial), (1.0,),
-                      _flip_step(cfg.rho))
+    return ChainSampler(ScaledTwoPointChain(cfg.rho, cfg.radial), _flip_step(cfg.rho))
 
 
 _BUILDERS = {
@@ -278,10 +256,11 @@ def _check_counts(n_chains: int, n_steps: int, master_seed: int) -> None:
 def _sample_block(s: ChainSampler, ids: range, n_steps: int, master_seed: int) -> np.ndarray:
     """The chains ids, shape (len(ids), n_steps); each chain depends only on its
     own stream, so the rows do not depend on how the ids are split."""
-    k = s.initial.n_uniforms
+    law = s.kernel.law
+    k = law.n_uniforms
     u = _uniform_block(master_seed, ids, n_steps + k - 1)
     vals = np.empty((len(ids), n_steps))
-    vals[:, 0] = s.initial.draw(u[:, :k].T)
+    vals[:, 0] = law.draw(u[:, :k].T)
     for t in range(1, n_steps):
         vals[:, t] = s.step(vals[:, t - 1], u[:, t + k - 1])
     return vals

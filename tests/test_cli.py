@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,12 @@ class TestKernelCheck:
         assert code == 0
         assert data["pass"] is True
 
+    @pytest.mark.parametrize("rho", ["0.99", "-0.999"])
+    def test_gaussian_near_unit_rho_passes(self, capsys, rho):
+        code, out, _ = run_capture(capsys, ["kernel-check", "--rho", rho, "--q", "1", "--json"])
+        assert code == 0
+        assert json.loads(out)["stationarity_max"] <= 1e-15
+
 
 class TestSampleVerify:
     def test_end_to_end(self, capsys, tmp_path):
@@ -340,6 +347,28 @@ class TestSampleVerify:
                      "--chains", "4", "--steps", "20", "--seed", "2",
                      "--out", str(out_path)])
         assert code == 0
+
+    def test_repeated_zero_atom_samples_the_pinned_bytes(self, capsys, tmp_path):
+        # the zero atom split in two is the same law, so the same chains
+        from test_byte_contract import CSV_DIGESTS
+        out_path = tmp_path / "s.csv"
+        code, _, _ = run_capture(
+            capsys, ["sample", "--rho", "0.5", "--case", "scaled",
+                     "--radial", "1.4142135623730951:0.5,0:0.25,0:0.25",
+                     "--chains", "16", "--steps", "400", "--seed", "7",
+                     "--out", str(out_path)])
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == CSV_DIGESTS["scaled"]
+
+    @pytest.mark.parametrize("radial", ["nan:1", "1:nan"])
+    def test_non_finite_radial_exit_two(self, capsys, tmp_path, radial):
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_capture(
+            capsys, ["sample", "--rho", "0.5", "--case", "scaled", "--radial", radial,
+                     "--chains", "2", "--steps", "3", "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err == "validation failure: radial values and probabilities must be finite\n"
+        assert not out_path.exists()
 
 
 PARAM_FLAGS = ["--rho", "T", "--A", "T", "--B", "T", "--C", "T", "--D", "T"]

@@ -167,16 +167,21 @@ class TestConditionalMoments:
 
 
 class TestStationarity:
+    # the sign chains X = R*Y are stationary by symmetry; they have no residual to take
     def test_two_point_exact(self):
-        assert stationarity_residual(TwoPointChain(0.5), TwoPointSym(), 1.0) == 0.0
+        with pytest.raises(ValueError, match="TwoPointChain is atomic"):
+            stationarity_residual(TwoPointChain(0.5), TwoPointSym(), 1.0)
 
     def test_scaled_exact(self):
         radial = RadialLaw(values=(math.sqrt(2.0), 0.0), probs=(0.5, 0.5))
         k = ScaledTwoPointChain(0.5, radial)
-        assert stationarity_residual(k, ScaledTwoPoint(radial), 0.0) <= 1e-15
+        with pytest.raises(ValueError, match="ScaledTwoPointChain is atomic"):
+            stationarity_residual(k, ScaledTwoPoint(radial), 0.0)
 
     def test_ar1(self):
-        assert stationarity_residual(GaussianAR1(0.6), StdGaussian(), 0.7) <= 1e-9
+        # past rho^2 = 1/2 the quadrature weight is the kernel's own Gaussian factor
+        for rho in (0.6, 0.99, 0.999, -0.999):
+            assert stationarity_residual(GaussianAR1(rho), StdGaussian(), 0.7) <= 1e-9
 
     def test_mehler(self):
         k = mehler_kernel(0.5, 0.0)

@@ -252,6 +252,14 @@ class TestRadialLaw:
         r = RadialLaw(values=(1.0,), probs=(1.0,))
         assert not r.has_zero_atom
 
+    @pytest.mark.parametrize("values,probs", [
+        ((math.nan,), (1.0,)), ((1.0,), (math.nan,)), ((1.0, math.inf), (1.0, 0.0))],
+        ids=["nan-value", "nan-probability", "inf-value"])
+    def test_rejects_non_finite(self, values, probs):
+        # every comparison with NaN is false, and 0 * inf adds NaN to E R^2
+        with pytest.raises(ValueError, match="finite"):
+            RadialLaw(values=values, probs=probs)
+
 
 class TestSampling:
     def test_two_point_mean_gate(self):
