@@ -26,6 +26,9 @@ CSV_DIGESTS = {
     (0.5, 0.0): "9b14f22d5a43eaf8c54b7585075ca106d68641a33de0aba984371ec637572b9d",
     (0.5, 0.5): "912962f4ff925207b33efc57edc31b2f50607879832dcdc028e00c54592318c0",
     (-0.3, -0.5): "00f731002aeccd4940d9ef532eff9b9a4c98f8b32010882aacde9c6ac4494969",
+    # the narrow law and the bimodal one: the step's most extreme tables
+    (0.95, 0.9): "020e688fa72cb8b58ac6bcf04503a22a269fa8ada2a119369e180d6e52050664",
+    (-0.8, -0.9): "b0cc6b4bc5c4da74677f324163613c8e630ab1c12783e1fa1add60ba8fe280fb",
 }
 
 KERNEL_CHECK_DIGESTS = {
