@@ -6,7 +6,9 @@ chain id), so ensemble content is a pure function of
 draw through the law's inverse-CDF map, then advance by their case's step
 rule: the Gaussian AR(1) recursion, a sign flip for the two sign chains, and
 for the compact continuous case per-state inverse-CDF tables on a cosine
-grid of conditioning states, interpolated cubically across states.
+grid of conditioning states, interpolated cubically across states.  That
+step keeps to IEEE +, -, *, / and clamps, ``searchsorted`` and ``take``, so
+its bytes do not depend on the array layout, the chain count or the CPU.
 """
 
 from __future__ import annotations
@@ -70,15 +72,29 @@ class ConditionalTables:
 
     ``quantiles[j, i]`` is the conditional quantile at state y_nodes[j] and
     uniform level i / (_N_U - 1); lookups interpolate linearly in u on the dense
-    grid and cubically across the four nearest states.  ``stencil_den[j0, a]``
-    holds the Lagrange denominators y_nodes[j0+a] - y_nodes[j0+b] of the
-    stencil starting at row j0, over b in 0..3 without a, in increasing b.
+    grid and cubically (Lagrange) across the four states y_nodes[j0 + a],
+    a = 0..3, of the stencil starting at row j0 = start[searchsorted(y_nodes, y)].
+    The per-stencil arrays are stencil-major, with j0 on the last axis, so the
+    step gathers each with one ``take`` along it into contiguous rows:
+
+    - ``stencil_y[b, a, j0]`` is y_nodes[j0 + c], c the b-th of the three rows
+      other than a in increasing order; shape (3, 4, _N_Y - 3);
+    - ``stencil_den[j0, a, b]`` is the Lagrange denominator
+      y_nodes[j0 + a] - y_nodes[j0 + c], shape (_N_Y - 3, 4, 3), the transpose
+      of a C-contiguous (3, 4, _N_Y - 3) array laid out as ``stencil_y``;
+    - ``cells[a, j0]`` is (j0 + a) * _N_U, the flat index of row j0 + a of
+      ``quantiles``; shape (4, _N_Y - 3);
+    - ``start[k]`` is the stencil start min(max(k - 2, 0), _N_Y - 4) for
+      k = searchsorted(y_nodes, y) in 0.._N_Y.
     """
 
     y_nodes: np.ndarray
     quantiles: np.ndarray
     support_radius: float
+    stencil_y: np.ndarray
     stencil_den: np.ndarray
+    cells: np.ndarray
+    start: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -206,33 +222,39 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
     quant[:, 0] = x_edges[0]
     quant[:, -1] = x_edges[-1]
     np.clip(quant, -s, s, out=quant)
-    j0 = np.arange(_N_Y - 3)[:, None, None]
-    den = y_nodes[j0 + _STENCIL_ROWS[:, None]] - y_nodes[j0 + _STENCIL_OTHERS]
-    return ConditionalTables(y_nodes=y_nodes, quantiles=quant, support_radius=s,
-                             stencil_den=den)
+    j0 = np.arange(_N_Y - 3)
+    # (3, 4, _N_Y - 3): other row b of stencil row a, for each start j0
+    stencil_y = y_nodes[_STENCIL_OTHERS.T[:, :, None] + j0]
+    den = y_nodes[_STENCIL_ROWS[:, None] + j0] - stencil_y
+    return ConditionalTables(
+        y_nodes=y_nodes, quantiles=quant, support_radius=s, stencil_y=stencil_y,
+        stencil_den=den.T, cells=(_STENCIL_ROWS[:, None] + j0) * _N_U,
+        start=np.minimum(np.maximum(np.arange(_N_Y + 1) - 2, 0), _N_Y - 4))
 
 
 def _conditional_quantile(tables: ConditionalTables, y: np.ndarray,
                           u: np.ndarray) -> np.ndarray:
     """Vectorized x = Q(u | y): linear in u on the dense grid, cubic Lagrange
     across the four nearest conditioning states."""
-    n_y, n_u = tables.quantiles.shape
+    n_u = tables.quantiles.shape[1]
     pos = u * (n_u - 1)
     iu = np.minimum(np.maximum(pos.astype(np.int64), 0), n_u - 2)
     fu = pos - iu
-    j0 = np.minimum(np.maximum(np.searchsorted(tables.y_nodes, y) - 2, 0), n_y - 4)
-    # Lagrange weight of each stencil row a: prod over b != a of
+    j0 = tables.start.take(np.searchsorted(tables.y_nodes, y))
+    # Lagrange weight of each stencil row a, shape (4, n): prod over b != a of
     # (y - yn[j0+b]) / (yn[j0+a] - yn[j0+b]), factors in increasing b
-    t = ((y[:, None, None] - tables.y_nodes[j0[:, None, None] + _STENCIL_OTHERS])
-         / tables.stencil_den[j0])
-    w = t[:, :, 0] * t[:, :, 1] * t[:, :, 2]
-    cell = (j0[:, None] + _STENCIL_ROWS) * n_u + iu[:, None]
-    quant = tables.quantiles.ravel()
-    xw = w * (quant[cell] * (1.0 - fu)[:, None] + quant[cell + 1] * fu[:, None])
+    t = y - tables.stencil_y.take(j0, axis=2)
+    t /= tables.stencil_den.T.take(j0, axis=2)
+    w = t[0] * t[1]
+    w *= t[2]
+    cell = tables.cells.take(j0, axis=1) + iu
+    xw = tables.quantiles.take(cell) * (1.0 - fu)
+    xw += tables.quantiles.take(cell + 1) * fu
+    xw *= w
     # sum in stencil order starting from 0.0 (the output bytes depend on it);
     # weights sum to 1 analytically, so renormalize against rounding
-    x = (((0.0 + xw[:, 0]) + xw[:, 1]) + xw[:, 2]) + xw[:, 3]
-    x /= (((0.0 + w[:, 0]) + w[:, 1]) + w[:, 2]) + w[:, 3]
+    x = (((0.0 + xw[0]) + xw[1]) + xw[2]) + xw[3]
+    x /= (((0.0 + w[0]) + w[1]) + w[2]) + w[3]
     return np.minimum(np.maximum(x, -tables.support_radius), tables.support_radius)
 
 

@@ -315,7 +315,10 @@ def _loop_quantile(tables, y, u):
 
 
 class TestConditionalQuantileStencil:
-    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.3, -0.5), (0.8, -0.9)])
+    # (0.95, 0.9) is the narrow law, (-0.8, -0.99) the bimodal one, and (0.01, 0.5)
+    # has its kernel series truncated at N = 6
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.3, -0.5), (0.8, -0.9), (0.95, 0.9),
+                                       (-0.8, -0.99), (0.01, 0.5)])
     def test_bit_identical_to_loop_oracle(self, rho, q):
         tables = _sampler("qgaussian", rho=rho, q=q).conditional
         s = tables.support_radius
@@ -328,6 +331,8 @@ class TestConditionalQuantileStencil:
         got = _conditional_quantile(tables, y, u)
         want = _loop_quantile(tables, y, u)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        one = _conditional_quantile(tables, y[:1], u[:1])  # a single chain
+        assert np.array_equal(one.view(np.int64), want[:1].view(np.int64))
 
     def test_denominator_table(self):
         tables = _sampler("qgaussian", q=0.5).conditional
