@@ -223,7 +223,6 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
     quant[:, -1] = x_edges[-1]
     np.clip(quant, -s, s, out=quant)
     j0 = np.arange(_N_Y - 3)
-    # (3, 4, _N_Y - 3): other row b of stencil row a, for each start j0
     stencil_y = y_nodes[_STENCIL_OTHERS.T[:, :, None] + j0]
     den = y_nodes[_STENCIL_ROWS[:, None] + j0] - stencil_y
     return ConditionalTables(
