@@ -20,7 +20,7 @@ import numpy as np
 from . import kernel as kernel_mod
 from . import measure, params, qpoly, verify
 from .quadrature import QuadratureError
-from .simulate import SamplerConfig, _check_counts, make_sampler, read_csv, sample_csv
+from .simulate import SamplerConfig, _check_counts, make_sampler, sample_csv
 
 __all__ = ["main", "run"]
 
@@ -355,12 +355,11 @@ def _cmd_verify(args) -> int:
     if isinstance(c, params.InvalidParams):
         print(f"invalid parameters: {c.reason}", file=sys.stderr)
         return 2
-    ens = read_csv(args.infile)
-    entries = verify.standard_suite(ens, p, c)
+    entries, n_chains, n_steps = verify.verify_csv(args.infile, p, c)
     meta = {
         "seed": args.seed,
-        "n_chains": ens.n_chains,
-        "n_steps": ens.n_steps,
+        "n_chains": n_chains,
+        "n_steps": n_steps,
         "params": {"rho": p.rho, "A": p.A, "B": p.B, "C": p.C, "D": p.D},
         "classification": c.name,
         "threshold": verify.DEFAULT_THRESHOLD,

@@ -17,6 +17,8 @@ import contextlib
 import io
 import math
 import os
+import pickle
+import re
 import shutil
 import signal
 import tempfile
@@ -66,7 +68,7 @@ class SamplerConfig:
     seed: int = 42
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalTables:
     """Inverse-CDF tables of f(.|y) on a cosine grid of conditioning states.
 
@@ -117,13 +119,13 @@ class Ensemble:
             yield cid, self.values[cid]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSampler:
     """A case's kernel with its step rule: chains start at ``kernel.law.draw``
-    and advance by x_t = step(x_{t-1}, u_t)."""
+    and advance by x_t = step(x_{t-1}, u_t).  Samplers compare by identity."""
 
     kernel: TransitionKernel
-    step: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     conditional: ConditionalTables | None = field(default=None, repr=False)
 
 
@@ -317,10 +319,67 @@ def _write_rows(fh: io.TextIOBase, ids: range, values: np.ndarray) -> None:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the number of blocks of sample_csv."""
+    """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fork_count() -> int:
+    """Blocks of sample_csv and verify_csv: one per usable CPU, or one where the
+    platform cannot fork."""
+    return _usable_cpus() if hasattr(os, "fork") else 1
+
+
+@contextlib.contextmanager
+def _forked(jobs: list[tuple[str, Callable[[io.TextIOBase], None]]], tmp_dir=None):
+    """Run each ``(what, job)`` in a forked process as ``job(tmp)``, tmp an unnamed
+    temporary file in tmp_dir (the system's temporary directory if None); yield an
+    iterator that waits for the processes in job order and yields each one's file,
+    binary and rewound.
+
+    A job must call no BLAS: the BLAS threads a fork leaves behind are never
+    there to wait on.  On any failure, here or in a process, every process is
+    killed and reaped.
+    """
+    children: dict[int, tuple] = {}  # pid -> (what, tmp) while unreaped, in job order
+
+    def results():
+        for pid, (what, tmp) in list(children.items()):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:
+                raise ChildProcessError(f"the process {what} exited with status {code}")
+            tmp.buffer.seek(0)
+            yield tmp.buffer
+
+    with contextlib.ExitStack() as tmps:
+        try:
+            for what, job in jobs:
+                tmp = tmps.enter_context(tempfile.TemporaryFile("w+", newline="", dir=tmp_dir))
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(what, job, tmp)
+                children[pid] = what, tmp
+            yield results()
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_child(what: str, job: Callable[[io.TextIOBase], None],
+               tmp: io.TextIOBase) -> NoReturn:
+    """Run one job in a forked process, which leaves only here."""
+    code = 1
+    try:
+        job(tmp)
+        tmp.flush()
+        code = 0
+    except BaseException as exc:
+        os.write(2, f"{what}: {exc!r}\n".encode())
+    finally:
+        os._exit(code)
 
 
 def sample_csv(s: ChainSampler, n_chains: int, n_steps: int, master_seed: int,
@@ -332,92 +391,215 @@ def sample_csv(s: ChainSampler, n_chains: int, n_steps: int, master_seed: int,
     is drawn here and written to path; every other block is drawn in a forked
     process that writes its rows to an unnamed temporary file beside path
     (in the system's temporary directory if path's is not writable, as /dev
-    is for /dev/stdout), which is appended in block order.  The forked
-    processes call no BLAS, so the BLAS threads a fork leaves behind are never
-    waited on.  On any failure every process is reaped and a partial regular
-    file at path is removed.
+    is for /dev/stdout), which is appended in block order.  On any failure
+    every process is reaped and a partial regular file at path is removed.
     """
     _check_counts(n_chains, n_steps, master_seed)
-    n_blocks = min(n_chains, _usable_cpus()) if hasattr(os, "fork") else 1
+    n_blocks = min(n_chains, _fork_count())
     edges = [n_chains * i // n_blocks for i in range(n_blocks + 1)]
     blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
     tmp_dir = Path(path).parent if os.access(Path(path).parent, os.W_OK) else None
-    children: dict[int, tuple] = {}  # pid -> (ids, file) while unreaped, in block order
-    with open(path, "w", newline="") as out, contextlib.ExitStack() as tmps:
+    jobs = [(f"sampling chains {ids.start}..{ids.stop - 1}",
+             partial(_write_block, s, ids, n_steps, master_seed)) for ids in blocks[1:]]
+    with open(path, "w", newline="") as out:
         try:
-            for ids in blocks[1:]:
-                tmp = tmps.enter_context(tempfile.TemporaryFile("w+", newline="", dir=tmp_dir))
-                pid = os.fork()
-                if pid == 0:
-                    _block_child(s, ids, n_steps, master_seed, tmp)
-                children[pid] = ids, tmp
-            out.write(_HEADER)
-            _write_rows(out, blocks[0], _sample_block(s, blocks[0], n_steps, master_seed))
-            out.flush()
-            for pid, (ids, tmp) in list(children.items()):
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[pid]
-                if code != 0:
-                    raise ChildProcessError(f"the process sampling chains {ids.start}.."
-                                            f"{ids.stop - 1} exited with status {code}")
-                tmp.buffer.seek(0)
-                shutil.copyfileobj(tmp.buffer, out.buffer)
+            with _forked(jobs, tmp_dir) as done:
+                out.write(_HEADER)
+                _write_block(s, blocks[0], n_steps, master_seed, out)
+                out.flush()
+                for tmp in done:
+                    shutil.copyfileobj(tmp, out.buffer)
         except BaseException:
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
             out.close()
             if os.path.isfile(path) and not os.path.islink(path):  # no device or pipe
                 os.unlink(path)
             raise
 
 
-def _block_child(s: ChainSampler, ids: range, n_steps: int, master_seed: int,
-                 tmp: io.TextIOBase) -> NoReturn:
-    """Draw and write one block in a forked process, which leaves only here."""
-    code = 1
-    try:
-        _write_rows(tmp, ids, _sample_block(s, ids, n_steps, master_seed))
-        tmp.flush()
-        code = 0
-    except BaseException as exc:
-        os.write(2, f"sampling chains {ids.start}..{ids.stop - 1}: {exc!r}\n".encode())
-    finally:
-        os._exit(code)
+def _write_block(s: ChainSampler, ids: range, n_steps: int, master_seed: int,
+                 fh: io.TextIOBase) -> None:
+    _write_rows(fh, ids, _sample_block(s, ids, n_steps, master_seed))
 
 
 def read_csv(source) -> Ensemble:
     """Read the write_csv format back into an ensemble (seed unknown: 0).
 
     Rows must come in (chain, t) order: chain ids 0..k-1, and within each
-    chain t = 0..n-1.
+    chain t = 0..n-1.  A path to a regular file is parsed by NumPy's chunked
+    reader, which it uses for a path only; anything else (a pipe, a device, an
+    open text stream) is parsed through its line iterator.
     """
-    if isinstance(source, (str, Path)):
+    (values,), _, _ = _read_blocks(source, lambda v: v, 1)
+    values.setflags(write=False)
+    return Ensemble(master_seed=0, values=values)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """What one block of CSV rows tells the reader: the ``np.unique`` ids and counts
+    of its chain column and whether its rows run t = 0..n-1 within each chain,
+    chains in id order (``ordered``); ``fn`` of its (chains, steps) values where
+    they do; or the ValueError its rows (``read_error``) or ``fn`` raised."""
+
+    ids: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    ordered: bool = False
+    out: object = None
+    read_error: ValueError | None = None
+    fn_error: ValueError | None = None
+
+
+def _read_blocks(source, fn: Callable[[np.ndarray], object],
+                 n_blocks: int) -> tuple[list, int, int]:
+    """``fn`` of the values of each block of whole chains of a write_csv file, in
+    block order, and the file's (n_chains, n_steps); every check and error of the
+    file is that of reading it as one block.
+
+    A regular file at a path splits into at most n_blocks blocks (see
+    _chain_bounds); block 0 is read here, every other one in a forked process that
+    sends back only its _Block.  The checks run in read_csv's order on the merged
+    facts: a block whose rows do not parse as 3 columns has the whole file read
+    again here, so the error names the row in the file; then the chain ids, the
+    chain lengths and the row order; then the errors ``fn`` raised.
+    """
+    if not isinstance(source, (str, Path)):
+        _check_header(source)
+        src, bounds = source, [(0, None)]
+    elif not os.path.isfile(source):  # a pipe or a device: read once, as a stream
         with open(source, "r", newline="") as fh:
-            return _read_csv_stream(fh)
-    return _read_csv_stream(source)
+            return _read_blocks(fh, fn, 1)
+    else:
+        with open(source, "r", newline="") as fh:
+            _check_header(fh)
+        src = os.fspath(source)
+        bounds = _chain_bounds(src, n_blocks)
+    jobs = [(f"reading the chains from line {skip + 1}",
+             partial(_pickled_block, src, skip, rows, fn)) for skip, rows in bounds[1:]]
+    with _forked(jobs) as done:
+        blocks = [_read_block(src, *bounds[0], fn)]
+        blocks += [pickle.load(tmp) for tmp in done]
+    bad = [b.read_error for b in blocks if b.read_error is not None]
+    if bad:
+        if len(blocks) > 1:  # raise the error of the file's first bad row
+            _load_rows(src, bounds[0][0], None)
+        raise bad[0]
+    n_chains, n_steps = _check_chains(blocks)
+    for b in blocks:
+        if b.fn_error is not None:
+            raise b.fn_error
+    return [b.out for b in blocks], n_chains, n_steps
 
 
-def _read_csv_stream(fh: io.TextIOBase) -> Ensemble:
+def _check_header(fh: io.TextIOBase) -> None:
     if fh.readline().strip() != "chain,t,x":
         raise ValueError("expected header 'chain,t,x'")
-    with warnings.catch_warnings():  # loadtxt warns on an empty body
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+
+
+def _chain_bounds(path: str, n_blocks: int) -> list[tuple[int, int | None]]:
+    """Split the data lines of the CSV at path into at most n_blocks ranges of whole
+    chains, each ``(skiprows, max_rows)`` for np.loadtxt(path); the last one runs to
+    the end of the file.
+
+    The lines are read as np.loadtxt(path) reads them, in the default encoding with
+    universal newlines; a byte that does not decode is left to the parse of its
+    block to report.  A block starts at the first line past each n_blocks-th of
+    the file's size whose chain field differs numerically from the line before
+    ("1" and "1.0" are one chain).  skiprows counts blank lines, max_rows does not.
+    """
+    targets = [os.path.getsize(path) * i // n_blocks for i in range(1, n_blocks)]
+    starts = [(1, 0)]  # (lines, rows) before the first line of each block
+    with open(path, errors="surrogateescape") as fh:
+        lines, rows, pos, prev = 1, 0, len(fh.readline()), None
+        for target in targets:
+            whole = True  # the next character read starts a line
+            while pos < target and (piece := fh.read(min(target - pos, io.DEFAULT_BUFFER_SIZE))):
+                pos += len(piece)
+                ends = piece.count("\n")
+                lines, rows = lines + ends, rows + ends - _blank_lines(piece, whole)
+                whole, prev = piece.endswith("\n"), None
+            while line := fh.readline():  # to the first line of a new chain
+                pos += len(line)
+                cid = _chain_id(line) if whole else None
+                new = prev is not None and cid is not None and cid != prev
+                if new:
+                    starts.append((lines, rows))
+                lines += 1
+                if line != "\n" or not whole:
+                    rows += 1
+                    prev = cid
+                whole = True
+                if new:
+                    break
+            else:
+                break  # end of file
+    return [(skip, b - a) for (skip, a), (_, b) in zip(starts, starts[1:])] + \
+        [(starts[-1][0], None)]
+
+
+def _blank_lines(text: str, whole: bool) -> int:
+    """Empty lines that end in text: newlines after a newline, or at its start if
+    whole (text starts a line)."""
+    blank = int(whole and text.startswith("\n"))
+    if "\n\n" in text:
+        blank += sum(len(run) - 1 for run in re.findall("\n\n+", text))
+    return blank
+
+
+def _chain_id(line: str) -> float | None:
+    try:
+        return float(line.partition(",")[0])
+    except ValueError:
+        return None
+
+
+def _pickled_block(src: str, skip: int, rows: int | None, fn, tmp: io.TextIOBase) -> None:
+    pickle.dump(_read_block(src, skip, rows, fn), tmp.buffer)
+
+
+def _read_block(src, skip: int, rows: int | None, fn) -> _Block:
+    """The _Block of the rows np.loadtxt reads from src after skip lines (at most
+    rows of them)."""
+    try:
+        chain, t, x = _load_rows(src, skip, rows).T
+    except ValueError as exc:
+        return _Block(read_error=exc)
+    ids, counts = np.unique(chain, return_counts=True)
+    n = int(counts[0])
+    if not (np.array_equal(chain, np.repeat(ids, n))
+            and np.array_equal(t, np.tile(np.arange(n), ids.size))):
+        return _Block(ids, counts)
+    values = np.ascontiguousarray(x).reshape(ids.size, n)
+    del chain, t, x  # the parsed rows; fn runs on the values alone
+    try:
+        return _Block(ids, counts, True, fn(values))
+    except ValueError as exc:
+        return _Block(ids, counts, True, fn_error=exc)
+
+
+def _load_rows(src, skip: int, rows: int | None) -> np.ndarray:
+    with warnings.catch_warnings():  # loadtxt warns on an empty body, and on blank lines
+        warnings.simplefilter("ignore", UserWarning)  # that max_rows does not count
+        data = np.loadtxt(src, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                          max_rows=rows)
     if data.shape[0] == 0:
         raise ValueError("no data rows")
     if data.shape[1] != 3:
         raise ValueError("expected 3 columns chain,t,x")
-    chain, t, x = data.T
-    ids, counts = np.unique(chain, return_counts=True)
+    return data
+
+
+def _check_chains(blocks: list[_Block]) -> tuple[int, int]:
+    """(n_chains, n_steps) of the blocks' rows taken together, or the ValueError of
+    the first check they fail."""
+    block_ids = np.concatenate([b.ids for b in blocks])
+    ids, where = np.unique(block_ids, return_inverse=True)
+    counts = np.zeros(ids.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([b.counts for b in blocks]))
     if not np.array_equal(ids, np.arange(ids.size)):
         raise ValueError("chain ids must be contiguous from 0")
     if np.any(counts != counts[0]):
         raise ValueError("all chains must have equal length")
-    n = int(counts[0])
-    if not (np.array_equal(chain, np.repeat(ids, n))
-            and np.array_equal(t, np.tile(np.arange(n), ids.size))):
+    # each block is ordered and the blocks hold increasing, disjoint ids
+    if not (all(b.ordered for b in blocks) and np.all(np.diff(block_ids) > 0)):
         raise ValueError("rows must run t = 0..n-1 within each chain, chains in id order")
-    vals = np.ascontiguousarray(x).reshape(ids.size, n)
-    vals.setflags(write=False)
-    return Ensemble(master_seed=0, values=vals)
+    return ids.size, int(counts[0])

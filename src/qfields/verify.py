@@ -15,17 +15,22 @@ The per-chain statistics are computed on blocks of whole chains (about 2^15
 values per temporary), so the suite's memory is bounded by the block, not by
 the ensemble.  A chain is never split: each per-chain mean is NumPy's pairwise
 sum along one row, so the blocked statistics, and the report bytes, are
-exactly those of the unblocked formulas.
+exactly those of the unblocked formulas.  ``verify_csv`` splits a CSV the same
+way across processes: each parses and reduces its own block of whole chains,
+and the joined columns are gated once, so its report bytes do not depend on
+the CPU count.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from . import qpoly
+from . import qpoly, simulate
 from .params import Classification, FieldParams
 from .simulate import Ensemble
 
@@ -36,6 +41,7 @@ __all__ = [
     "martingale_residuals",
     "symmetry_checks",
     "standard_suite",
+    "verify_csv",
     "build_report",
     "report_json",
     "load_report",
@@ -78,23 +84,52 @@ def _gate(test_id: str, statistic: str, per_chain: np.ndarray) -> TestEntry:
 def _by_rows(v: np.ndarray, stats) -> list[np.ndarray]:
     """Apply ``stats`` to consecutive blocks of whole chains (rows of ``v``)
     and concatenate each per-chain column it returns over the blocks."""
-    rows = max(1, _BLOCK_ELEMENTS // v.shape[1])
+    rows = max(1, _BLOCK_ELEMENTS // max(v.shape[1], 1))  # stats reject 0 steps
     blocks = [stats(v[r:r + rows]) for r in range(0, v.shape[0], rows)]
     return [np.concatenate(col) for col in zip(*blocks)]
+
+
+def _gates(tests: list[tuple[str, str]], columns: list[np.ndarray]) -> list[TestEntry]:
+    return [_gate(test_id, statistic, col)
+            for (test_id, statistic), col in zip(tests, columns, strict=True)]
+
+
+_CORR_TESTS = [(f"corr_k{k}", f"E[x_t x_(t+{k})] - rho^{k}") for k in range(1, _K_MAX + 1)]
+
+
+def _corr_stats(vb: np.ndarray, rho: float) -> list[np.ndarray]:
+    if not _K_MAX < vb.shape[1] / 10:
+        raise ValueError(f"need more than {10 * _K_MAX} steps for lag {_K_MAX}")
+    return [(vb[:, :-k] * vb[:, k:]).mean(axis=1) - rho ** k for k in range(1, _K_MAX + 1)]
 
 
 def empirical_corr(e: Ensemble, rho: float) -> list[TestEntry]:
     """Lag-k cross moments against rho^k, k = 1..5 (standardized scale,
     so no per-chain studentizing; lag 0 is identically 1 and not gated)."""
-    if not _K_MAX < e.n_steps / 10:
-        raise ValueError(f"need more than {10 * _K_MAX} steps for lag {_K_MAX}")
-    lags = _by_rows(e.values, lambda vb: [(vb[:, :-k] * vb[:, k:]).mean(axis=1)
-                                          for k in range(1, _K_MAX + 1)])
-    return [_gate(f"corr_k{k}", f"E[x_t x_(t+{k})] - rho^{k}", lag - rho ** k)
-            for k, lag in enumerate(lags, start=1)]
+    return _gates(_CORR_TESTS, _by_rows(e.values, partial(_corr_stats, rho=rho)))
 
 
 _MONOMIALS = [(i, j) for i in range(_DEGREE + 1) for j in range(_DEGREE + 1 - i)]
+_WEAK_TESTS = [test for (i, j) in _MONOMIALS for test in (
+    (f"weak_lin_x{i}y{j}", f"E[(x_t - a(x_(t-1)+x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]"),
+    (f"weak_quad_x{i}y{j}", f"E[(x_t^2 - Q(x_(t-1),x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]"))]
+
+
+def _weak_stats(vb: np.ndarray, p: FieldParams) -> list[np.ndarray]:
+    if vb.shape[1] < 3:
+        raise ValueError("need at least 3 steps for interior triples")
+    a = p.rho / (1.0 + p.rho * p.rho)
+    xp, xm, xn = vb[:, :-2], vb[:, 1:-1], vb[:, 2:]
+    lin = xm - a * (xp + xn)
+    quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
+                      + p.D * (xp + xn) + p.C)
+    # each power once per block; x_(t-1)^i and x_(t+1)^j are its two slices
+    pw = [vb ** i for i in range(_DEGREE + 1)]
+    cols = []
+    for (i, j) in _MONOMIALS:
+        g = pw[i][:, :-2] * pw[j][:, 2:]
+        cols += [(lin * g).mean(axis=1), (quad * g).mean(axis=1)]
+    return cols
 
 
 def weak_form_residuals(e: Ensemble, p: FieldParams) -> list[TestEntry]:
@@ -106,66 +141,58 @@ def weak_form_residuals(e: Ensemble, p: FieldParams) -> list[TestEntry]:
     functions up to degree 4 are a practical, not a complete, separating
     class.
     """
-    if e.n_steps < 3:
-        raise ValueError("need at least 3 steps for interior triples")
-    a = p.rho / (1.0 + p.rho * p.rho)
+    return _gates(_WEAK_TESTS, _by_rows(e.values, partial(_weak_stats, p=p)))
 
-    def stats(vb):
-        xp, xm, xn = vb[:, :-2], vb[:, 1:-1], vb[:, 2:]
-        lin = xm - a * (xp + xn)
-        quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
-                          + p.D * (xp + xn) + p.C)
-        # each power once per block; x_(t-1)^i and x_(t+1)^j are its two slices
-        pw = [vb ** i for i in range(_DEGREE + 1)]
-        cols = []
-        for (i, j) in _MONOMIALS:
-            g = pw[i][:, :-2] * pw[j][:, 2:]
-            cols += [(lin * g).mean(axis=1), (quad * g).mean(axis=1)]
-        return cols
 
-    cols = iter(_by_rows(e.values, stats))
-    out = []
-    for (i, j) in _MONOMIALS:
-        out.append(_gate(f"weak_lin_x{i}y{j}",
-                         f"E[(x_t - a(x_(t-1)+x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]",
-                         next(cols)))
-        out.append(_gate(f"weak_quad_x{i}y{j}",
-                         f"E[(x_t^2 - Q(x_(t-1),x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]",
-                         next(cols)))
-    return out
+def _mart_tests(n_max: int) -> list[tuple[str, str]]:
+    return [(f"mart_n{n}_m{m}", f"E[(Q_{n}(x_(t+1)) - rho^{n} Q_{n}(x_t)) Q_{m}(x_t)]")
+            for n in range(1, n_max + 1) for m in range(_M_MAX + 1)]
+
+
+def _mart_stats(vb: np.ndarray, rho: float, q: float, n_max: int) -> list[np.ndarray]:
+    if not 1 <= n_max <= 8:
+        raise ValueError("n_max must be in [1, 8]")
+    deg = max(n_max, _M_MAX)
+    tabs = qpoly.qhermite_table(vb.ravel(), q, deg).reshape(deg + 1, *vb.shape)
+    cols = []
+    for n in range(1, n_max + 1):
+        resid = tabs[n][:, 1:] - rho ** n * tabs[n][:, :-1]
+        cols += [(resid * tabs[m][:, :-1]).mean(axis=1) for m in range(_M_MAX + 1)]
+    return cols
 
 
 def martingale_residuals(e: Ensemble, rho: float, q: float,
                          n_max: int = _N_MAX) -> list[TestEntry]:
     """Gates E[(Q_n(X_{t+1}) - rho^n Q_n(X_t)) Q_m(X_t)] for n = 1..n_max,
     m = 0..4, with the polynomials built at the supplied q."""
-    if not 1 <= n_max <= 8:
-        raise ValueError("n_max must be in [1, 8]")
-    deg = max(n_max, _M_MAX)
+    return _gates(_mart_tests(n_max),
+                  _by_rows(e.values, partial(_mart_stats, rho=rho, q=q, n_max=n_max)))
 
-    def stats(vb):
-        tabs = qpoly.qhermite_table(vb.ravel(), q, deg).reshape(deg + 1, *vb.shape)
-        cols = []
-        for n in range(1, n_max + 1):
-            resid = tabs[n][:, 1:] - rho ** n * tabs[n][:, :-1]
-            cols += [(resid * tabs[m][:, :-1]).mean(axis=1) for m in range(_M_MAX + 1)]
-        return cols
 
-    cols = iter(_by_rows(e.values, stats))
-    return [_gate(f"mart_n{n}_m{m}",
-                  f"E[(Q_{n}(x_(t+1)) - rho^{n} Q_{n}(x_t)) Q_{m}(x_t)]",
-                  next(cols))
-            for n in range(1, n_max + 1) for m in range(_M_MAX + 1)]
+_SYM_TESTS = [("sym_mean", "E[x]"), ("sym_third", "E[x^3]")]
+
+
+def _sym_stats(vb: np.ndarray) -> list[np.ndarray]:
+    return [vb.mean(axis=1), (vb ** 3).mean(axis=1)]
 
 
 def symmetry_checks(e: Ensemble) -> list[TestEntry]:
     """Gates the first and third moments near zero."""
-    mean, third = _by_rows(e.values, lambda vb: [vb.mean(axis=1),
-                                                 (vb ** 3).mean(axis=1)])
-    return [
-        _gate("sym_mean", "E[x]", mean),
-        _gate("sym_third", "E[x^3]", third),
-    ]
+    return _gates(_SYM_TESTS, _by_rows(e.values, _sym_stats))
+
+
+def _battery(p: FieldParams, c: Classification) -> tuple[list[tuple[str, str]], Callable]:
+    """standard_suite's (test id, statistic) pairs in report order, and the function
+    of a block of whole chains that gives their per-chain columns in that order."""
+    sections = [(_CORR_TESTS, partial(_corr_stats, rho=p.rho)),
+                (_WEAK_TESTS, partial(_weak_stats, p=p)),
+                (_SYM_TESTS, _sym_stats)]
+    if c.eigen_q is not None:
+        n_max = c.martingale_n_max or _N_MAX
+        sections.append((_mart_tests(n_max),
+                         partial(_mart_stats, rho=p.rho, q=c.eigen_q, n_max=n_max)))
+    tests = [test for section, _ in sections for test in section]
+    return tests, lambda v: [col for _, stats in sections for col in _by_rows(v, stats)]
 
 
 def standard_suite(e: Ensemble, p: FieldParams, c: Classification) -> list[TestEntry]:
@@ -176,12 +203,26 @@ def standard_suite(e: Ensemble, p: FieldParams, c: Classification) -> list[TestE
     rows run with the case's deformation parameter; for the scaled two-point
     family only the degree-1 row is an identity (the conditional second
     moment is chain-constant there, so higher rows are genuinely biased for
-    non-degenerate radial laws) and the suite gates only that row.
+    non-degenerate radial laws) and the suite gates only that row.  The gates
+    are taken on the per-chain columns of the ensemble as one block.
     """
-    entries = empirical_corr(e, p.rho) + weak_form_residuals(e, p) + symmetry_checks(e)
-    if c.eigen_q is not None:
-        entries += martingale_residuals(e, p.rho, c.eigen_q, c.martingale_n_max or _N_MAX)
-    return entries
+    tests, columns = _battery(p, c)
+    return _gates(tests, columns(e.values))
+
+
+def verify_csv(path, p: FieldParams,
+               c: Classification) -> tuple[list[TestEntry], int, int]:
+    """``standard_suite(read_csv(path), p, c)`` and the CSV's (n_chains, n_steps),
+    with the same entries, errors and error order at any CPU count.
+
+    A regular file splits into one block of whole chains per usable CPU, each
+    parsed and reduced to the battery's per-chain columns in a process of its own
+    (see simulate._read_blocks); the columns are joined in block order and gated
+    here.  Anything else, such as a pipe, is one block.
+    """
+    tests, columns = _battery(p, c)
+    blocks, n_chains, n_steps = simulate._read_blocks(path, columns, simulate._fork_count())
+    return _gates(tests, [np.concatenate(col) for col in zip(*blocks)]), n_chains, n_steps
 
 
 def build_report(entries: list[TestEntry], meta: dict) -> dict:

@@ -8,14 +8,20 @@ must say so (and re-pin them) rather than pass silently.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfields
 from qfields import params, simulate
 from qfields.cli import run
 from qfields.measure import RadialLaw
 from qfields.simulate import SamplerConfig, make_sampler, sample_ensemble, write_csv
 
+SRC = str(Path(qfields.__file__).resolve().parents[1])  # for CLI subprocesses
 RADIAL = RadialLaw(values=(2 ** 0.5, 0.0), probs=(0.5, 0.5))  # zero atom
 RADIAL_ARG = "1.4142135623730951:0.5,0:0.5"
 
@@ -145,8 +151,15 @@ def test_classify_json_bytes(case):
     assert _sha(text) == CLASSIFY_DIGESTS[case]
 
 
-@pytest.mark.parametrize("case", list(VERIFY_REPORT_DIGESTS))
-def test_verify_report_bytes(case, tmp_path):
+VERIFY_CASES = [(c, n) for c in VERIFY_REPORT_DIGESTS for n in CPU_COUNTS]
+
+
+@pytest.mark.parametrize("case,cpus", VERIFY_CASES, ids=[_sample_id(*cn) for cn in VERIFY_CASES])
+def test_verify_report_bytes(case, cpus, tmp_path, monkeypatch):
+    # verify reads and reduces one block of whole chains per usable CPU; the report
+    # bytes are the same for every block count
+    if cpus is not None:
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
     fp, cfg = _case_setup(case)
     csv, report = tmp_path / "chains.csv", tmp_path / "report.json"
     write_csv(sample_ensemble(make_sampler(params.classify(fp), cfg), 16, 400, 7), csv)
@@ -156,3 +169,20 @@ def test_verify_report_bytes(case, tmp_path):
                          "--D", repr(fp.D), "--seed", "7", "--report", str(report)])
     assert rc == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_REPORT_DIGESTS[case]
+    assert sorted(tmp_path.iterdir()) == [csv, report]
+
+
+def test_verify_pipe_report_bytes(tmp_path):
+    # a pipe cannot be split or read twice: verify reads it as one block
+    fp, cfg = _case_setup((0.5, 0.5))
+    buf, report = io.StringIO(), tmp_path / "report.json"
+    write_csv(sample_ensemble(make_sampler(params.classify(fp), cfg), 16, 400, 7), buf)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfields.cli", "verify", "--in", "/dev/stdin",
+         "--rho", repr(fp.rho), "--A", repr(fp.A), "--B", repr(fp.B), "--C", repr(fp.C),
+         "--D", repr(fp.D), "--seed", "7", "--report", str(report)],
+        input=buf.getvalue().encode(), capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_REPORT_DIGESTS[(0.5, 0.5)]

@@ -60,6 +60,12 @@ class TestMakeSampler:
             s = _sampler("gaussian", rho=rho)
             assert (type(s.kernel), s.kernel.rho) == (GaussianAR1, rho)
 
+    def test_samplers_compare_by_identity(self):
+        # the q-Gaussian tables hold arrays, whose == has no single truth value
+        a, b = _sampler("qgaussian", q=0.5), _sampler("qgaussian", q=0.5)
+        assert a == a and a != b
+        assert a.conditional == a.conditional and a.conditional != b.conditional
+
     def test_degenerate_radial_recovers_two_point_values(self):
         radial = RadialLaw(values=(1.0,), probs=(1.0,))
         s = _sampler("scaled", radial=radial)
