@@ -195,8 +195,8 @@ def mehler_sum(k: MehlerQ, x, y) -> np.ndarray:
     """The bivariate series sum_{n<=N} rho^n Q_n(x) Q_n(y) / [n]_q!
     with shape (len(x), len(y))."""
     qx = qpoly.qhermite_table(x, k.q, k.truncation)
-    qy = qpoly.qhermite_table(y, k.q, k.truncation)
-    return (qx * _mehler_coeffs(k)[:, None]).T @ qy
+    qx *= _mehler_coeffs(k)[:, None]
+    return qx.T @ qpoly.qhermite_table(y, k.q, k.truncation)
 
 
 def _mehler_sum_and_last(k: MehlerQ, x, y) -> tuple[np.ndarray, np.ndarray]:

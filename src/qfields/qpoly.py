@@ -59,23 +59,29 @@ def qhermite_table(x, q: float, n_max: int) -> np.ndarray:
     """Evaluate Q_0..Q_{n_max} at the points ``x``.
 
     Monic recurrence Q_0 = 1, Q_1 = x, Q_{n+1} = x Q_n - [n]_q Q_{n-1},
-    run in extended precision. Returns an array of shape (n_max+1, len(x)).
+    run in extended precision on three rolling rows, each rounded to float64
+    once as it is stored. Returns an array of shape (n_max+1, len(x)).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > MAX_DEGREE:
         raise ValueError(f"degree {n_max} exceeds supported maximum {MAX_DEGREE}")
     xs = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
-    tab = np.empty((n_max + 1, xs.size), dtype=np.longdouble)
+    tab = np.empty((n_max + 1, xs.size))
     tab[0] = 1.0
     if n_max >= 1:
         tab[1] = xs
+    prev, cur, nxt = np.ones_like(xs), xs.copy(), np.empty_like(xs)  # Q_{n-1}, Q_n, Q_{n+1}
     br = np.longdouble(0.0)
     qq = np.longdouble(q)
     for n in range(1, n_max):
         br = br * qq + 1.0  # [n]_q
-        tab[n + 1] = xs * tab[n] - br * tab[n - 1]
-    return tab.astype(np.float64)
+        np.multiply(xs, cur, out=nxt)
+        prev *= br  # Q_{n-1} is not read again
+        nxt -= prev
+        tab[n + 1] = nxt
+        prev, cur, nxt = cur, nxt, prev
+    return tab
 
 
 def qhermite_all(x: float, q: float, n_max: int) -> np.ndarray:

@@ -9,6 +9,10 @@ for the compact continuous case per-state inverse-CDF tables on a cosine
 grid of conditioning states, interpolated cubically across states.  That
 step keeps to IEEE +, -, *, / and clamps, ``searchsorted`` and ``take``, so
 its bytes do not depend on the array layout, the chain count or the CPU.
+
+Memory is bounded by the output: the tables are built a block of theta-cells
+at a time, and a block of chains draws its uniforms a chunk of steps at a time
+from the streams it holds open, each in the order of the whole-array form.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import io
 import math
 import os
 import pickle
-import re
 import shutil
 import signal
 import tempfile
@@ -88,6 +91,9 @@ class ConditionalTables:
       ``quantiles``; shape (4, _N_Y - 3);
     - ``start[k]`` is the stencil start min(max(k - 2, 0), _N_Y - 4) for
       k = searchsorted(y_nodes, y) in 0.._N_Y.
+
+    The quantiles come from the cell masses of f(.|y), which the build sums a
+    block of _BLOCK_CELLS theta-cells at a time (see _cell_masses).
     """
 
     y_nodes: np.ndarray
@@ -183,9 +189,29 @@ _N_Y = 65
 _N_CELLS = 1024
 _N_U = 4097
 _CELL_NODES = 8
+# theta-cells whose kernel values the table build holds at once
+_BLOCK_CELLS = 128
 # the four stencil rows, and for each row a the other three in increasing order
 _STENCIL_ROWS = np.arange(4)
 _STENCIL_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _cell_masses(k: MehlerQ, y_nodes: np.ndarray, theta_edges: np.ndarray) -> np.ndarray:
+    """The mass of f(.|y) in each theta-cell, shape (_N_CELLS, _N_Y): Gauss-Legendre
+    over _CELL_NODES nodes per cell, the kernel evaluated _BLOCK_CELLS cells at a
+    time, and each product rounded as over the whole grid at once."""
+    nodes, wts = (a.ravel() for a in theta_cells(theta_edges, _CELL_NODES))
+    x_nodes = theta_to_x(k.law, nodes)
+    wt = theta_weight(k.law, nodes)  # marginal weight in theta
+    cells = np.empty((_N_CELLS, _N_Y))
+    for c in range(0, _N_CELLS, _BLOCK_CELLS):
+        at = slice(c * _CELL_NODES, (c + _BLOCK_CELLS) * _CELL_NODES)
+        ker = mehler_sum(k, x_nodes[at], y_nodes)  # (_BLOCK_CELLS * _CELL_NODES, _N_Y)
+        np.multiply(wt[at, None], ker, out=ker)
+        np.maximum(ker, 0.0, out=ker)  # clamp truncation wobble
+        np.multiply(wts[at, None], ker, out=ker)
+        ker.reshape(-1, _CELL_NODES, _N_Y).sum(axis=1, out=cells[c:c + _BLOCK_CELLS])
+    return cells
 
 
 def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
@@ -194,13 +220,7 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
     y_nodes = theta_to_x(spec, np.linspace(0.0, math.pi, _N_Y))
     theta_edges = np.linspace(0.0, math.pi, _N_CELLS + 1)
     x_edges = theta_to_x(spec, theta_edges)
-
-    nodes, wts = (a.ravel() for a in theta_cells(theta_edges, _CELL_NODES))
-    x_nodes = theta_to_x(spec, nodes)
-    wt = theta_weight(spec, nodes)  # marginal weight in theta
-    ker = mehler_sum(k, x_nodes, y_nodes)  # (_N_CELLS * _CELL_NODES, _N_Y)
-    integrand = np.maximum(wt[:, None] * ker, 0.0)  # clamp truncation wobble
-    cells = (wts[:, None] * integrand).reshape(_N_CELLS, _CELL_NODES, _N_Y).sum(axis=1)
+    cells = _cell_masses(k, y_nodes, theta_edges)
     F = np.vstack([np.zeros(_N_Y), np.cumsum(cells, axis=0)])
     totals = F[-1]
     if np.any(totals <= 0.0):
@@ -259,11 +279,15 @@ def _conditional_quantile(tables: ConditionalTables, y: np.ndarray,
     return np.minimum(np.maximum(x, -tables.support_radius), tables.support_radius)
 
 
-def _uniform_block(master_seed: int, ids: range, n_draws: int) -> np.ndarray:
-    out = np.empty((len(ids), n_draws))
-    for row, cid in zip(out, ids):
-        key = np.array([master_seed, cid], dtype=np.uint64)
-        np.random.Generator(np.random.Philox(key=key)).random(out=row)
+# steps whose uniforms the step loop draws at once, for every chain of a block
+_STEP_CHUNK = 256
+
+
+def _uniforms(streams: list[np.random.Generator], n_draws: int) -> np.ndarray:
+    """The next n_draws uniforms of each stream, one row per stream."""
+    out = np.empty((len(streams), n_draws))
+    for row, stream in zip(out, streams):
+        stream.random(out=row)
     return out
 
 
@@ -280,12 +304,14 @@ def _sample_block(s: ChainSampler, ids: range, n_steps: int, master_seed: int) -
     """The chains ids, shape (len(ids), n_steps); each chain depends only on its
     own stream, so the rows do not depend on how the ids are split."""
     law = s.kernel.law
-    k = law.n_uniforms
-    u = _uniform_block(master_seed, ids, n_steps + k - 1)
+    streams = [np.random.Generator(np.random.Philox(key=np.array([master_seed, cid], np.uint64)))
+               for cid in ids]
     vals = np.empty((len(ids), n_steps))
-    vals[:, 0] = law.draw(u[:, :k].T)
-    for t in range(1, n_steps):
-        vals[:, t] = s.step(vals[:, t - 1], u[:, t + k - 1])
+    vals[:, 0] = law.draw(_uniforms(streams, law.n_uniforms).T)
+    for t0 in range(1, n_steps, _STEP_CHUNK):  # one uniform per step from here on
+        u = _uniforms(streams, min(_STEP_CHUNK, n_steps - t0))
+        for i in range(u.shape[1]):
+            vals[:, t0 + i] = s.step(vals[:, t0 + i - 1], u[:, i])
     return vals
 
 
@@ -500,23 +526,25 @@ def _chain_bounds(path: str, n_blocks: int) -> list[tuple[int, int | None]]:
     chains, each ``(skiprows, max_rows)`` for np.loadtxt(path); the last one runs to
     the end of the file.
 
-    The lines are read as np.loadtxt(path) reads them, in the default encoding with
-    universal newlines; a byte that does not decode is left to the parse of its
-    block to report.  A block starts at the first line past each n_blocks-th of
-    the file's size whose chain field differs numerically from the line before
-    ("1" and "1.0" are one chain).  skiprows counts blank lines, max_rows does not.
+    The file is scanned in binary, with its lines ended as np.loadtxt(path) ends
+    them (universal newlines, see _Newlines); a byte that does not decode is left
+    to the parse of its block to report.  A block starts at the first line past
+    each n_blocks-th of the file's size whose chain field differs numerically from
+    the line before ("1" and "1.0" are one chain).  skiprows counts blank lines,
+    max_rows does not.
     """
     targets = [os.path.getsize(path) * i // n_blocks for i in range(1, n_blocks)]
     starts = [(1, 0)]  # (lines, rows) before the first line of each block
-    with open(path, errors="surrogateescape") as fh:
+    with open(path, "rb") as raw:
+        fh = _Newlines(raw)
         lines, rows, pos, prev = 1, 0, len(fh.readline()), None
         for target in targets:
-            whole = True  # the next character read starts a line
-            while pos < target and (piece := fh.read(min(target - pos, io.DEFAULT_BUFFER_SIZE))):
+            whole = True  # the next byte read starts a line
+            while pos < target and (piece := fh.read(min(target - pos, _SCAN_BYTES))):
                 pos += len(piece)
-                ends = piece.count("\n")
-                lines, rows = lines + ends, rows + ends - _blank_lines(piece, whole)
-                whole, prev = piece.endswith("\n"), None
+                ends, blank = _line_ends(piece, whole)
+                lines, rows = lines + ends, rows + ends - blank
+                whole, prev = piece.endswith(b"\n"), None
             while line := fh.readline():  # to the first line of a new chain
                 pos += len(line)
                 cid = _chain_id(line) if whole else None
@@ -524,7 +552,7 @@ def _chain_bounds(path: str, n_blocks: int) -> list[tuple[int, int | None]]:
                 if new:
                     starts.append((lines, rows))
                 lines += 1
-                if line != "\n" or not whole:
+                if line != b"\n" or not whole:
                     rows += 1
                     prev = cid
                 whole = True
@@ -536,18 +564,54 @@ def _chain_bounds(path: str, n_blocks: int) -> list[tuple[int, int | None]]:
         [(starts[-1][0], None)]
 
 
-def _blank_lines(text: str, whole: bool) -> int:
-    """Empty lines that end in text: newlines after a newline, or at its start if
-    whole (text starts a line)."""
-    blank = int(whole and text.startswith("\n"))
-    if "\n\n" in text:
-        blank += sum(len(run) - 1 for run in re.findall("\n\n+", text))
-    return blank
+# bytes per read of the file in the block split's scan
+_SCAN_BYTES = 2 ** 18
 
 
-def _chain_id(line: str) -> float | None:
+class _Newlines:
+    r"""A binary file read with universal newlines, as text mode reads it: each
+    \r\n and each lone \r reads as \n.  ``read(n)`` gives the next n bytes so read
+    (fewer only at the end of the file), ``readline()`` the next line."""
+
+    def __init__(self, fh: io.BufferedReader):
+        self._fh, self._buf, self._at = fh, b"", 0
+
+    def _fill(self, n: int) -> bool:
+        """Append what the next n bytes of the file read as; False at its end."""
+        raw = self._fh.read(n)
+        while raw.endswith(b"\r") and (more := self._fh.read(1)):  # keep a \r\n whole
+            raw += more
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        self._buf, self._at = self._buf[self._at:] + raw, 0
+        return bool(raw)
+
+    def read(self, n: int) -> bytes:
+        while len(self._buf) - self._at < n and self._fill(n - len(self._buf) + self._at):
+            pass
+        piece = self._buf[self._at:self._at + n]
+        self._at += len(piece)
+        return piece
+
+    def readline(self) -> bytes:
+        while (end := self._buf.find(b"\n", self._at) + 1) == 0 and self._fill(_SCAN_BYTES):
+            pass
+        line = self._buf[self._at:end or len(self._buf)]
+        self._at += len(line)
+        return line
+
+
+def _line_ends(piece: bytes, whole: bool) -> tuple[int, int]:
+    """The line ends in piece, and how many of them end an empty line: those right
+    after another, and the first byte if whole (piece starts a line)."""
+    ends = np.frombuffer(piece, np.uint8) == ord("\n")
+    blank = np.count_nonzero(ends[1:] & ends[:-1]) + int(whole and ends[0])
+    return int(np.count_nonzero(ends)), int(blank)
+
+
+def _chain_id(line: bytes) -> float | None:
     try:
-        return float(line.partition(",")[0])
+        return float(line.partition(b",")[0])
     except ValueError:
         return None
 

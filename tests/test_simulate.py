@@ -1,11 +1,14 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qfields.kernel import GaussianAR1, MehlerQ, ScaledTwoPointChain, TwoPointChain
-from qfields.measure import RadialLaw
+from qfields import qpoly, simulate
+from qfields.kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TwoPointChain,
+                            _mehler_coeffs, mehler_kernel)
+from qfields.measure import RadialLaw, theta_cells, theta_to_x, theta_weight
 from qfields.params import (FieldParams, NonexistentDegenerate, OpenLattice,
                             classify, params_from_rho_q)
 from qfields.simulate import (SamplerConfig, SamplerError,
@@ -346,6 +349,123 @@ class TestConditionalQuantileStencil:
         assert tables.stencil_den.shape == (yn.size - 3, 4, 3)
         assert tables.stencil_den[10, 2].tolist() == [yn[12] - yn[10], yn[12] - yn[11],
                                                      yn[12] - yn[13]]
+
+
+def _qhermite_oracle(x, q, n_max):
+    """Oracle: the whole (n_max + 1, len(x)) long-double recurrence, then one
+    rounding of the table to float64."""
+    xs = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
+    tab = np.empty((n_max + 1, xs.size), dtype=np.longdouble)
+    tab[0] = 1.0
+    if n_max >= 1:
+        tab[1] = xs
+    br, qq = np.longdouble(0.0), np.longdouble(q)
+    for n in range(1, n_max):
+        br = br * qq + 1.0
+        tab[n + 1] = xs * tab[n] - br * tab[n - 1]
+    return tab.astype(np.float64)
+
+
+def _whole_grid_masses(k, y_nodes, theta_edges):
+    """Oracle: the cell masses from one kernel matrix over every node at once."""
+    nodes, wts = (a.ravel() for a in theta_cells(theta_edges, simulate._CELL_NODES))
+    qx = _qhermite_oracle(theta_to_x(k.law, nodes), k.q, k.truncation)
+    qy = _qhermite_oracle(y_nodes, k.q, k.truncation)
+    ker = (qx * _mehler_coeffs(k)[:, None]).T @ qy
+    integrand = np.maximum(theta_weight(k.law, nodes)[:, None] * ker, 0.0)
+    return (wts[:, None] * integrand).reshape(-1, simulate._CELL_NODES, y_nodes.size).sum(axis=1)
+
+
+def _whole_block_oracle(s, ids, n_steps, master_seed):
+    """Oracle: every uniform of the block drawn before the first step, one
+    (chains, n_steps + k - 1) array, k the uniforms of the first draw."""
+    law = s.kernel.law
+    k = law.n_uniforms
+    u = np.empty((len(ids), n_steps + k - 1))
+    for row, cid in zip(u, ids):
+        key = np.array([master_seed, cid], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).random(out=row)
+    vals = np.empty((len(ids), n_steps))
+    vals[:, 0] = law.draw(u[:, :k].T)
+    for t in range(1, n_steps):
+        vals[:, t] = s.step(vals[:, t - 1], u[:, t + k - 1])
+    return vals
+
+
+def _table_bytes(t):
+    return [a.tobytes() for a in (t.y_nodes, t.quantiles, t.stencil_y, t.stencil_den, t.cells,
+                                  t.start)] + [t.support_radius]
+
+
+class TestBoundedMemoryBitIdentity:
+    """The tables are built a block of theta-cells at a time, the q-Hermite
+    recurrence on rolling rows and the uniforms drawn a chunk of steps at a time;
+    each gives the bytes of its whole-array form."""
+
+    # (0.95, 0.9) is the narrow law, (-0.8, -0.99) the bimodal one, (0.01, 0.5) has
+    # its series truncated at N = 6, and at (0.3, 0) the law is the semicircle
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (0.95, 0.9), (-0.8, -0.99), (0.01, 0.5),
+                                       (0.3, 0.0)])
+    def test_blocked_tables_match_whole_grid_oracle(self, rho, q, monkeypatch):
+        k = mehler_kernel(rho, q)
+        got = simulate._build_conditional_tables(k)
+        monkeypatch.setattr(simulate, "_cell_masses", _whole_grid_masses)
+        assert _table_bytes(got) == _table_bytes(simulate._build_conditional_tables(k))
+
+    def test_refusal_matches_whole_grid_oracle(self, monkeypatch):
+        k = mehler_kernel(0.5, 0.99)
+        with pytest.raises(SamplerError) as got:
+            simulate._build_conditional_tables(k)
+        monkeypatch.setattr(simulate, "_cell_masses", _whole_grid_masses)
+        with pytest.raises(SamplerError) as want:
+            simulate._build_conditional_tables(k)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("conditional tables at rho=0.5, q=0.99 have non-finite")
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 12, 64])
+    @pytest.mark.parametrize("q", [-0.99, -0.5, 0.0, 0.5, 0.9])
+    def test_rolling_qhermite_matches_whole_table_oracle(self, n_max, q):
+        x = 2.0 / math.sqrt(1.0 - q) * np.linspace(-1.25, 1.25, 1001)  # past the support too
+        got = qpoly.qhermite_table(x, q, n_max)
+        assert got.shape == (n_max + 1, x.size) and got.dtype == np.float64
+        assert got.tobytes() == _qhermite_oracle(x, q, n_max).tobytes()
+        assert qpoly.qhermite_all(x[3], q, n_max).tobytes() == got[:, 3].tobytes()
+
+    @pytest.mark.parametrize("case", ["qgaussian", "scaled"])
+    def test_chunked_uniforms_match_whole_block_oracle(self, case):
+        # the scaled law's first draw takes two uniforms, the q-Gaussian one
+        s = _sampler(case, q=0.5, radial=RadialLaw(values=(SQRT2, 0.0), probs=(0.5, 0.5)))
+        chunk = simulate._STEP_CHUNK
+        for n_steps in (1, 2, chunk, chunk + 1):
+            got = simulate._sample_block(s, range(3, 9), n_steps, 42)
+            want = _whole_block_oracle(s, range(3, 9), n_steps, 42)
+            assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak_mb(fn) -> float:
+    """The peak of the memory traced while fn runs (NumPy traces its buffers), MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Traced peaks of warm runs, so they do not depend on the runner.  The tables
+    are 2.1 MB and a 100 x 5000 block of chains 4 MB; whole-grid temporaries took
+    the table build to 13.6 MB and whole-block uniforms the block to 8.0 MB."""
+
+    @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (0.95, 0.9)])
+    def test_table_build_peak(self, rho, q):
+        _sampler("qgaussian", rho=rho, q=q)  # Gauss-Legendre nodes
+        assert _traced_peak_mb(lambda: _sampler("qgaussian", rho=rho, q=q)) < 8.0
+
+    def test_block_of_chains_peak(self):
+        s = _sampler("qgaussian", q=0.5)
+        simulate._sample_block(s, range(100), 2, 42)  # the marginal table of the first draw
+        assert _traced_peak_mb(lambda: simulate._sample_block(s, range(100), 5000, 42)) < 5.0
 
 
 class TestSamplerRefusals:

@@ -4,7 +4,9 @@ any block count it gives the entries of ``standard_suite(read_csv(path))``, and
 for a malformed file the same ValueError, first error first, naming rows in the
 whole file."""
 
+import bisect
 import io
+import itertools
 import os
 
 import pytest
@@ -133,6 +135,62 @@ def test_blocks_of_whole_chains_give_the_serial_entries(name, tmp_path, monkeypa
         lines = fh.read().split("\n")
     for skip, _ in bounds[1:]:  # each split starts a chain: t = 0
         assert lines[skip].split(",")[1] == "0"
+
+
+def _chain_field(line: str) -> float | None:
+    try:
+        return float(line.partition(",")[0])
+    except ValueError:
+        return None
+
+
+def _text_mode_bounds(path, n_blocks: int) -> list[tuple[int, int | None]]:
+    """Oracle: the split as a scan in text mode makes it, each line ended by a
+    universal newline and each position counted in characters.  A block starts at
+    the first line, read from its start past the n-th of the file's bytes, whose
+    chain field differs from that of the last non-blank line read before it."""
+    with open(path, errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    ends = list(itertools.accumulate(map(len, lines)))  # characters up to each line's end
+    size = os.path.getsize(path)
+    starts, nxt, prev = [(1, 0)], 1, None  # nxt: the next line read from its start
+    for target in (size * i // n_blocks for i in range(1, n_blocks)):
+        if ends[nxt - 1] < target:  # read on to target, then the rest of its line
+            nxt, prev = bisect.bisect_left(ends, target) + 1, None
+        for j in range(nxt, len(lines)):
+            cid = _chain_field(lines[j])
+            if prev is not None and cid is not None and cid != prev:
+                starts.append((j, sum(line != "\n" for line in lines[1:j])))
+                nxt, prev = j + 1, cid
+                break
+            if lines[j] != "\n":
+                prev = cid
+        else:
+            break
+    return [(skip, b - a) for (skip, a), (_, b) in zip(starts, starts[1:])] + \
+        [(starts[-1][0], None)]
+
+
+LAYOUTS = {**{name: "".join(rows) for name, rows in VALID.items()}, **MALFORMED}
+
+
+@pytest.mark.parametrize("name", list(LAYOUTS))
+def test_binary_split_matches_text_mode_scan(name, tmp_path):
+    # CRLF, CR, blank lines, "1" and "1.0", and an undecodable byte among them
+    path = tmp_path / "chains.csv"
+    path.write_bytes(LAYOUTS[name].encode(errors="surrogateescape"))
+    for n_blocks in (1, 2, 3, 7):
+        assert simulate._chain_bounds(str(path), n_blocks) == _text_mode_bounds(path, n_blocks)
+
+
+def test_binary_split_reads_a_cr_split_between_reads(tmp_path, monkeypatch):
+    # reads of one, two and five bytes split \r\n pairs between two reads
+    path = tmp_path / "chains.csv"
+    path.write_bytes(LAYOUTS["crlf-blank-lines"].encode())
+    want = [_text_mode_bounds(path, n) for n in (2, 3, 7)]
+    for size in (1, 2, 5):
+        monkeypatch.setattr(simulate, "_SCAN_BYTES", size)
+        assert [simulate._chain_bounds(str(path), n) for n in (2, 3, 7)] == want
 
 
 @pytest.mark.parametrize("failing,message", [
