@@ -45,6 +45,10 @@ KERNEL_CHECK_DIGESTS = {
     # truncation N = 6, below the top eigen degree 8
     (0.01, 0.5): "55fe5bc6cb84aa064312750d6924f3cde9b9a3624790a13313b0cf8fdfe49905",
     (0.3, 0.0): "fd234c47c69da1d87ea476030120aaae9578dadba1a0821bbf75198370bb03f2",
+    # the Gaussian composition residual against the closed-form rho^2 kernel, and the
+    # stationarity residual past rho^2 = 1/2, at both signs of rho
+    (0.99, 1.0): "c271407bb838f69fa00d48749297e125acbd7e2591afa31a9155efbc0001f85d",
+    (-0.999, 1.0): "f6af75e737b8b60401491cf4cc083d6f3435decbe76f6326f8d38f2d4e036630",
 }
 
 # the first ladder that fails to converge, and so its error estimate, is part of the contract
