@@ -29,8 +29,6 @@ from .params import (
     params_from_rho_q,
 )
 from .qpoly import (
-    q_bracket,
-    q_factorial,
     qhermite_all,
     asc_all,
     asc_coefficient,
@@ -59,11 +57,9 @@ from .kernel import (
     TwoPointChain,
     ScaledTwoPointChain,
     mehler_kernel,
-    transition_density,
     eigen_residual,
     conditional_moment_residual,
     stationarity_residual,
-    two_point_matrix,
     chapman_kolmogorov_residual,
 )
 from .simulate import (

@@ -238,7 +238,7 @@ def _cmd_kernel_check(args) -> int:
     # (x, ys[1]), (x, ys[3]) for each x; the first that fails to converge sets the error
     eigen = float(np.max([kernel_mod.eigen_residual(kern, n, ys)
                           for n in range(_KERNEL_CHECK_NMAX + 1)]))
-    stat = float(np.max(kernel_mod.stationarity_residual(kern, kern.law, xs)))
+    stat = float(np.max(kernel_mod.stationarity_residual(kern, xs)))
     ck = float(np.max(kernel_mod.chapman_kolmogorov_residual(
         kern, np.repeat(xs, 2), [ys[1], ys[3]] * len(xs))))
     ok = all(r <= _KERNEL_CHECK_TOL for r in (eigen, stat, ck))

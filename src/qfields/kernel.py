@@ -6,12 +6,14 @@ conditional expectation maps Q_n to rho^n Q_n, which the residual operations
 certify by a trapezoid ladder in theta that raises when it does not converge
 (at a point or a sequence of points, with one q-Hermite table per call and one
 ladder per point);
-the Gaussian endpoint uses the closed-form AR(1) kernel, the discrete cases a
-2x2 stochastic matrix (optionally scaled by a chain-constant radius).
+the Gaussian endpoint uses the closed-form AR(1) kernel, the discrete cases
+keep the sign with probability (1 + rho)/2 (optionally with a chain-constant
+radius).
 
 Truncation tails of the series are orthogonal to every retained polynomial
 direction, so the spectral residual checks integrate the raw truncated
-series; the public pointwise density applies the documented clamp instead.
+series; the sampler's conditional tables, the one place the series is used as
+a density, clamp its negative values at 0 (see simulate._cell_masses).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpoly
-from .measure import QGaussian, RadialLaw, StdGaussian, MeasureSpec, ScaledTwoPoint, \
-    TwoPointSym, density, theta_to_x, theta_weight
+from .measure import QGaussian, RadialLaw, StdGaussian, ScaledTwoPoint, TwoPointSym, \
+    density, theta_to_x, theta_weight
 from .params import FieldParams, _check_rho, regression_coeffs
 from .quadrature import QuadratureError, gh_nodes, integrate_gaussian
 
@@ -34,20 +36,12 @@ __all__ = [
     "GaussianAR1",
     "TwoPointChain",
     "ScaledTwoPointChain",
-    "PositivityError",
     "mehler_kernel",
-    "transition_density",
     "eigen_residual",
     "conditional_moment_residual",
     "stationarity_residual",
-    "two_point_matrix",
     "chapman_kolmogorov_residual",
 ]
-
-
-class PositivityError(RuntimeError):
-    """Negative kernel values beyond the clamp threshold: the truncation /
-    parameter combination cannot represent a positive kernel."""
 
 
 class TransitionKernel:
@@ -144,17 +138,16 @@ class ScaledTwoPointChain(_SignChain):
 
 
 _Q_WARN = 0.995
-_TOL = _TOL_NEG = 1e-9  # series truncation target; floor of the clamp threshold
+_TOL = 1e-9  # series truncation target
 
 
-def mehler_kernel(rho: float, q: float, truncation: int | None = None) -> MehlerQ:
+def mehler_kernel(rho: float, q: float) -> MehlerQ:
     """Build the eigen-expansion kernel, choosing the truncation order.
 
-    The order is the smallest N with |rho|^N * max|Q_N|^2 / [N]_q! below _TOL
-    on a support grid, capped at the polynomial degree limit.  The stored
-    tail estimate is a conservative endpoint-supremum figure; pointwise
-    evaluation clamps negatives against a tighter local envelope instead
-    (see transition_density).
+    The order is the smallest N from 4 up with |rho|^N * max|Q_N|^2 / [N]_q!
+    below _TOL and not below the next term, on a support grid, capped at the
+    polynomial degree limit.  The stored tail estimate is a conservative
+    endpoint-supremum figure.
     """
     _check_rho(rho)  # before the series work that |rho| = 1 would break
     if not -1.0 < q < 1.0:
@@ -170,18 +163,7 @@ def mehler_kernel(rho: float, q: float, truncation: int | None = None) -> Mehler
     sup = np.abs(tab).max(axis=1)
     fact = qpoly.q_factorials(cap, q)
     t = np.abs(rho) ** np.arange(cap + 1) * sup * sup / fact
-    if truncation is None:
-        n_trunc = cap
-        for n in range(4, cap):
-            if t[n] < _TOL and t[n + 1] <= t[n]:
-                n_trunc = n
-                break
-    else:
-        if not 1 <= truncation <= cap:
-            raise ValueError(f"truncation must be in [1, {cap}]")
-        n_trunc = truncation
-    # conservative endpoint-supremum tail bound; the pointwise clamp decision
-    # uses a local last-term estimate instead (see transition_density)
+    n_trunc = next((n for n in range(4, cap) if t[n] < _TOL and t[n + 1] <= t[n]), cap)
     tail = float(t[n_trunc + 1:].sum() + t[cap] * abs(rho) / (1.0 - abs(rho)))
     return MehlerQ(rho=rho, q=q, truncation=n_trunc, tail_estimate=tail)
 
@@ -197,44 +179,6 @@ def mehler_sum(k: MehlerQ, x, y) -> np.ndarray:
     qx = qpoly.qhermite_table(x, k.q, k.truncation)
     qx *= _mehler_coeffs(k)[:, None]
     return qx.T @ qpoly.qhermite_table(y, k.q, k.truncation)
-
-
-def _mehler_sum_and_last(k: MehlerQ, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Series sum plus a local tail envelope: the max magnitude over the
-    trailing retained terms (individual polynomials pass through zeros, so a
-    single last term underestimates the truncation wobble)."""
-    tail_rows = slice(max(1, k.truncation - 7), k.truncation + 1)
-    qx = qpoly.qhermite_table(x, k.q, k.truncation)[tail_rows]
-    qy = qpoly.qhermite_table(y, k.q, k.truncation)[tail_rows]
-    env = np.abs(qx[:, :, None] * qy[:, None, :])
-    env *= np.abs(_mehler_coeffs(k)[tail_rows])[:, None, None]
-    return mehler_sum(k, x, y), env.max(axis=0)
-
-
-def transition_density(k: TransitionKernel, x, y: float):
-    """Conditional density f(x | y); MehlerQ values are clamped at zero,
-    values below -_TOL_NEG raise."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(k, GaussianAR1):
-        out = _ar1_density(k, xs, y)
-    elif isinstance(k, MehlerQ):
-        fq = density(k.law, xs)
-        total, last = _mehler_sum_and_last(k, xs, np.array([y]))
-        out = fq * total[:, 0]
-        mask = out < 0.0
-        if mask.any():
-            r = abs(k.rho)
-            local = np.maximum(_TOL_NEG, 10.0 * fq * last[:, 0] * r / (1.0 - r))
-            beyond = -out[mask] > local[mask]
-            if beyond.any():
-                worst = float(out[mask][beyond].min())
-                raise PositivityError(
-                    f"kernel positivity violation: value {worst:.3e} exceeds the "
-                    f"clamp threshold at (rho={k.rho}, q={k.q}, N={k.truncation})")
-            out = np.maximum(out, 0.0)
-    else:
-        raise ValueError(f"{k.name} is atomic and has no transition density")
-    return out if np.ndim(x) else float(out[0])
 
 
 def _ar1_density(k: GaussianAR1, x, y):
@@ -325,12 +269,12 @@ def conditional_moment_residual(k: TransitionKernel, p: FieldParams, y: float) -
     }
 
 
-def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x):
-    """|integral f(x|y) d nu(y) - f_nu(x)| for a continuous kernel, at a point x
-    (a float) or at each of a sequence of points (an array), in order."""
-    if spec != k.law:
-        raise ValueError("kernel/measure pair mismatch")
+def stationarity_residual(k: TransitionKernel, x):
+    """|integral f(x|y) d nu(y) - f_nu(x)| for a continuous kernel and its
+    stationary law nu, at a point x (a float) or at each of a sequence of points
+    (an array), in order."""
     xs = _points(x)
+    law = k.law
     if isinstance(k, MehlerQ):
         n1 = k.truncation + 1
         coeffs = _mehler_coeffs(k)
@@ -338,7 +282,7 @@ def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x):
         out = np.empty(xs.size)
         for j, xj in enumerate(xs):
             # one density call per point: a vector call sums its product in other blocks
-            fx = density(spec, xj)
+            fx = density(law, xj)
             kx = coeffs * qx[:, j]
             out[j] = abs(_ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab[:n1]))) - fx)
         return _per_point(x, out)
@@ -350,22 +294,12 @@ def stationarity_residual(k: TransitionKernel, spec: MeasureSpec, x):
         if r * r <= 0.5:
             return _per_point(x, np.array([
                 abs(integrate_gaussian(lambda yv: _ar1_density(k, xj, yv), n=160)
-                    - density(spec, xj)) for xj in xs]))
+                    - density(law, xj)) for xj in xs]))
         sd = math.sqrt(1.0 - r * r) / abs(r)
         return _per_point(x, np.array([
-            abs(integrate_gaussian(lambda yv: density(spec, yv), mean=xj / r, sd=sd, n=160)
-                / abs(r) - density(spec, xj)) for xj in xs]))
+            abs(integrate_gaussian(lambda yv: density(law, yv), mean=xj / r, sd=sd, n=160)
+                / abs(r) - density(law, xj)) for xj in xs]))
     raise ValueError(f"{k.name} is atomic and has no stationarity residual")
-
-
-def two_point_matrix(rho: float) -> np.ndarray:
-    """Stochastic matrix of the +/-1 chain with linear one-step regression:
-    stay (1+rho)/2, flip (1-rho)/2; states ordered (+1, -1)."""
-    if not abs(rho) < 1.0:
-        raise ValueError("|rho| must be < 1")
-    stay = (1.0 + rho) / 2.0
-    flip = (1.0 - rho) / 2.0
-    return np.array([[stay, flip], [flip, stay]])
 
 
 def chapman_kolmogorov_residual(k: TransitionKernel, x, z):
@@ -382,7 +316,7 @@ def chapman_kolmogorov_residual(k: TransitionKernel, x, z):
         # Gauss-Hermite against f(y|z) = N(rho*z, sd^2) leaves f(x|y) as integrand
         return _per_point(x, np.array([
             abs(integrate_gaussian(lambda yv: _ar1_density(k, xj, yv), mean=k.rho * zj, sd=sd,
-                                   n=160) - transition_density(k2, xj, zj))
+                                   n=160) - _ar1_density(k2, xj, zj))
             for xj, zj in zip(xs, zs)]))
     if not isinstance(k, MehlerQ):
         raise ValueError("Chapman-Kolmogorov check applies to continuous kernels")

@@ -350,23 +350,16 @@ def pchip(x: np.ndarray, y: np.ndarray) -> Pchip:
 
 @dataclass
 class CdfTable:
-    """Monotone CDF table over a cosine-spaced support grid.
+    """Quantile function of a compact law, interpolated from its CDF on a
+    cosine-spaced support grid ``x``.
 
     ``max_error`` records the normalization defect |raw total mass - 1|,
     the dominant error term of the per-cell quadrature.
     """
 
     x: np.ndarray
-    F: np.ndarray
     max_error: float
-    _cdf: Pchip
     _quantile: Pchip
-
-    def cdf(self, x):
-        lo, hi = self.x[0], self.x[-1]
-        xs = np.clip(np.asarray(x, dtype=float), lo, hi)
-        out = self._cdf(xs)
-        return np.clip(out, 0.0, 1.0) if np.ndim(x) else float(min(max(out, 0.0), 1.0))
 
     def quantile(self, u):
         us = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
@@ -405,7 +398,7 @@ def cdf_table(spec: MeasureSpec) -> CdfTable:
 
     Cosine-spaced grid; per-cell Gauss-Legendre in theta (the density
     vanishes like a square root at the endpoints, which the substitution
-    renders smooth); monotone cubic interpolants both ways.
+    renders smooth); a monotone cubic interpolant from F to x.
     """
     if not isinstance(spec, QGaussian):
         raise ValueError("cdf_table requires a compactly supported continuous spec")
@@ -428,8 +421,7 @@ def cdf_table(spec: MeasureSpec) -> CdfTable:
     F[-1] = 1.0
     Fi, xi = _strictly_increasing(F, x_grid)
     try:
-        table = CdfTable(x=x_grid, F=F, max_error=max_error,
-                         _cdf=pchip(x_grid, F), _quantile=pchip(Fi, xi))
+        table = CdfTable(x=x_grid, max_error=max_error, _quantile=pchip(Fi, xi))
     except ValueError:
         raise ValueError(
             f"CDF table of QGaussian(q={spec.q:g}) on n_points={_CDF_POINTS} has "

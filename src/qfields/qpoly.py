@@ -15,6 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "q_brackets",
+    "q_factorials",
+    "qhermite_table",
+    "qhermite_all",
+    "asc_table",
+    "asc_all",
+    "asc_coefficient",
+    "FavardVerdict",
+    "AllPositive",
+    "TerminatesAt",
+    "FailsAt",
+    "favard_scan",
+]
+
 # Forward recurrence is stable inside the support at these degrees; evaluation
 # runs in 80-bit extended accumulators and higher degrees are rejected.
 MAX_DEGREE = 64
@@ -22,16 +37,12 @@ MAX_DEGREE = 64
 _FAVARD_ZERO = 1e-10
 
 
-def q_bracket(n: int, q: float) -> float:
-    """[n]_q = 1 + q + ... + q^(n-1), evaluated by Horner; [0]_q = 0.
+def q_brackets(n_max: int, q: float) -> np.ndarray:
+    """Array of [0]_q .. [n_max]_q via the recurrence [n]_q = q*[n-1]_q + 1,
+    [n]_q = 1 + q + ... + q^(n-1) by Horner; [0]_q = 0.
 
     Exact for q = 1 ([n]_1 = n) and q = -1 ([n]_-1 alternates 1, 0).
     """
-    return float(q_brackets(n, q)[n])
-
-
-def q_brackets(n_max: int, q: float) -> np.ndarray:
-    """Array of [0]_q .. [n_max]_q via the recurrence [n]_q = q*[n-1]_q + 1."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     out = np.empty(n_max + 1)
@@ -41,13 +52,8 @@ def q_brackets(n_max: int, q: float) -> np.ndarray:
     return out
 
 
-def q_factorial(n: int, q: float) -> float:
-    """[n]_q! = prod_{j=1..n} [j]_q; empty product 1 for n = 0."""
-    return float(q_factorials(n, q)[n])
-
-
 def q_factorials(n_max: int, q: float) -> np.ndarray:
-    """Array of [0]_q! .. [n_max]_q!."""
+    """Array of [0]_q! .. [n_max]_q!, [n]_q! = prod_{j=1..n} [j]_q; [0]_q! = 1."""
     br = q_brackets(n_max, q)
     out = np.empty(n_max + 1)
     out[0] = 1.0
@@ -126,7 +132,7 @@ def asc_coefficient(n: int, rho: float, q: float) -> float:
     """Product coefficient c_n = (1 - rho^2 q^{n-1}) [n]_q of the recurrence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (1.0 - rho * rho * q ** (n - 1)) * q_bracket(n, q)
+    return (1.0 - rho * rho * q ** (n - 1)) * float(q_brackets(n, q)[n])
 
 
 class FavardVerdict:

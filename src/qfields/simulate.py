@@ -120,10 +120,6 @@ class Ensemble:
     def n_steps(self) -> int:
         return self.values.shape[1]
 
-    def chains(self):
-        for cid in range(self.n_chains):
-            yield cid, self.values[cid]
-
 
 @dataclass(frozen=True, eq=False)
 class ChainSampler:

@@ -145,10 +145,10 @@ def test_criterion_3_orthogonality():
     # closed-form semicircle checks
     if abs(density(QGaussian(0.0), 0.0) - 1.0 / math.pi) > 1e-10:
         problems.append("semicircle density at 0 differs from 1/pi")
-    cdf1 = cdf_table(QGaussian(0.0)).cdf(1.0)
     closed = 0.5 + math.sqrt(3.0) / (4.0 * math.pi) + math.asin(0.5) / math.pi
-    if abs(cdf1 - closed) > 1e-8:
-        problems.append(f"semicircle CDF(1) off by {abs(cdf1 - closed):.2e}")
+    x1 = cdf_table(QGaussian(0.0)).quantile(closed)
+    if abs(x1 - 1.0) > 1e-8:
+        problems.append(f"semicircle quantile at CDF(1) off by {abs(x1 - 1.0):.2e}")
     _finish(3, "orthogonality suite", problems, t0, 30.0)
 
 
@@ -167,7 +167,7 @@ def test_criterion_4_kernel_suite():
                     if r > 1e-6:
                         problems.append(f"eigen {r:.2e} at rho={rho}, q={q}, n={n}, y={y:.3f}")
             for c in (-0.9, -0.4, 0.1, 0.6, 0.95):
-                r = stationarity_residual(k, spec, c * s)
+                r = stationarity_residual(k, c * s)
                 if r > 1e-6:
                     problems.append(f"stationarity {r:.2e} at rho={rho}, q={q}, x={c * s:.3f}")
             for cx in (-0.6, 0.0, 0.7):

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from qfields import kernel, measure, qpoly
-from qfields.kernel import (GaussianAR1, PositivityError,
-                            ScaledTwoPointChain, TwoPointChain,
+from qfields.kernel import (GaussianAR1, ScaledTwoPointChain, TwoPointChain,
                             chapman_kolmogorov_residual,
                             conditional_moment_residual, eigen_residual,
-                            mehler_kernel, stationarity_residual,
-                            transition_density, two_point_matrix)
-from qfields.measure import QGaussian, RadialLaw, ScaledTwoPoint, StdGaussian, TwoPointSym
+                            mehler_kernel, stationarity_residual)
+from qfields.measure import QGaussian, RadialLaw, StdGaussian, TwoPointSym
 from qfields.params import FieldParams, params_from_rho_q
 
 GAUSS_POINT = FieldParams(0.5, 0.16, 0.32, 0.6, 0.0)
@@ -37,17 +35,11 @@ class TestConstruction:
         n_hi = mehler_kernel(0.8, 0.0).truncation
         assert n_lo < n_hi <= qpoly.MAX_DEGREE
 
-    def test_forced_truncation(self):
-        k = mehler_kernel(0.5, 0.0, truncation=20)
-        assert k.truncation == 20
-        with pytest.raises(ValueError):
-            mehler_kernel(0.5, 0.0, truncation=qpoly.MAX_DEGREE + 1)
-
 
 class TestTransitionDensity:
     def test_ar1_closed_form(self):
         k = GaussianAR1(0.6)
-        assert transition_density(k, 0.6, 1.0) == pytest.approx(
+        assert kernel._ar1_density(k, 0.6, 1.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi * 0.64), abs=1e-15)
 
     def test_ar1_normalizes(self):
@@ -73,30 +65,8 @@ class TestTransitionDensity:
         s = QGaussian(0.3)
         xs = np.linspace(-1.8, 1.8, 21)
         for y in (-1.0, 0.7):
-            assert np.allclose(transition_density(k, xs, y),
-                               measure.density(s, xs), atol=1e-5)
-
-    def test_atomic_rejected(self):
-        with pytest.raises(ValueError):
-            transition_density(TwoPointChain(0.5), 1.0, 1.0)
-
-    def test_clamp_recorded_at_hard_corner(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            k = mehler_kernel(0.8, 0.9)
-        s = 2.0 / math.sqrt(0.1)
-        xs = np.linspace(-s, s, 801)
-        f = transition_density(k, xs, 0.95 * s)
-        assert np.all(f >= 0.0)
-
-    def test_positivity_guard(self, monkeypatch):
-        k = mehler_kernel(0.5, 0.0)
-        monkeypatch.setattr(
-            kernel, "_mehler_sum_and_last",
-            lambda kk, x, y: (np.full((np.atleast_1d(x).size, 1), -1.0),
-                              np.zeros((np.atleast_1d(x).size, 1))))
-        with pytest.raises(PositivityError):
-            transition_density(k, 0.3, 0.1)
+            f = measure.density(k.law, xs) * kernel.mehler_sum(k, xs, [y])[:, 0]
+            assert np.allclose(f, measure.density(s, xs), atol=1e-5)
 
 
 class TestEigenResidual:
@@ -170,26 +140,22 @@ class TestStationarity:
     # the sign chains X = R*Y are stationary by symmetry; they have no residual to take
     def test_two_point_exact(self):
         with pytest.raises(ValueError, match="TwoPointChain is atomic"):
-            stationarity_residual(TwoPointChain(0.5), TwoPointSym(), 1.0)
+            stationarity_residual(TwoPointChain(0.5), 1.0)
 
     def test_scaled_exact(self):
         radial = RadialLaw(values=(math.sqrt(2.0), 0.0), probs=(0.5, 0.5))
         k = ScaledTwoPointChain(0.5, radial)
         with pytest.raises(ValueError, match="ScaledTwoPointChain is atomic"):
-            stationarity_residual(k, ScaledTwoPoint(radial), 0.0)
+            stationarity_residual(k, 0.0)
 
     def test_ar1(self):
         # past rho^2 = 1/2 the quadrature weight is the kernel's own Gaussian factor
         for rho in (0.6, 0.99, 0.999, -0.999):
-            assert stationarity_residual(GaussianAR1(rho), StdGaussian(), 0.7) <= 1e-9
+            assert stationarity_residual(GaussianAR1(rho), 0.7) <= 1e-9
 
     def test_mehler(self):
         k = mehler_kernel(0.5, 0.0)
-        assert stationarity_residual(k, QGaussian(0.0), 0.7) <= 1e-6
-
-    def test_pair_mismatch(self):
-        with pytest.raises(ValueError):
-            stationarity_residual(mehler_kernel(0.5, 0.0), QGaussian(0.5), 0.0)
+        assert stationarity_residual(k, 0.7) <= 1e-6
 
     def test_stationary_spec_pairing(self):
         assert GaussianAR1(0.4).law == StdGaussian()
@@ -197,23 +163,29 @@ class TestStationarity:
         assert mehler_kernel(0.5, 0.25).law == QGaussian(0.25)
 
 
-class TestTwoPointMatrix:
+class TestTwoPointRule:
+    """The one-step law of the +/-1 chain: stay (1 + rho)/2, flip (1 - rho)/2."""
+
     def test_hand_values(self):
-        m = two_point_matrix(0.5)
-        assert m[0, 0] == pytest.approx(0.75)
-        assert m[0, 1] == pytest.approx(0.25)
+        x, p = TwoPointChain(0.5)._rule(1.0)
+        assert x.tolist() == [1.0, -1.0]
+        assert p[0] == pytest.approx(0.75)
+        assert p[1] == pytest.approx(0.25)
 
     def test_independence(self):
-        assert np.allclose(two_point_matrix(0.0), 0.5)
+        # rho = 0 is no chain; the rule tends to a fair coin
+        assert np.allclose(TwoPointChain(1e-12)._rule(-1.0)[1], 0.5)
 
     def test_antithetic(self):
-        assert two_point_matrix(-0.5)[0, 0] == pytest.approx(0.25)
+        assert TwoPointChain(-0.5)._rule(1.0)[1][0] == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.4, 0.99])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.4, 0.99])
     def test_stochastic(self, rho):
-        m = two_point_matrix(rho)
-        assert np.allclose(m.sum(axis=1), 1.0)
-        assert np.all(m >= 0.0)
+        for y in (-1.0, 1.0):
+            x, p = TwoPointChain(rho)._rule(y)
+            assert x.tolist() == [y, -y]
+            assert p.sum() == pytest.approx(1.0)
+            assert np.all(p >= 0.0)
 
 
 class TestComposition:
@@ -245,32 +217,22 @@ class TestRhoOnConstruction:
             make(rho)
 
 
-def _mehler_sum_and_envelope_joint(k, x, y):
-    """Series sum and tail envelope from one pair of tables, as mehler_sum
-    computed them before it became sum-only."""
+def _mehler_sum_joint(k, x, y):
+    """Series sum from one pair of tables, scaled out of place."""
     qx = qpoly.qhermite_table(x, k.q, k.truncation)
     qy = qpoly.qhermite_table(y, k.q, k.truncation)
-    c = kernel._mehler_coeffs(k)
-    total = (qx * c[:, None]).T @ qy
-    tail_rows = slice(max(1, k.truncation - 7), k.truncation + 1)
-    env = np.abs(qx[tail_rows][:, :, None] * qy[tail_rows][:, None, :])
-    env *= np.abs(c[tail_rows])[:, None, None]
-    return total, env.max(axis=0)
+    return (qx * kernel._mehler_coeffs(k)[:, None]).T @ qy
 
 
 class TestMehlerSumOnly:
     @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.3, -0.5), (0.8, 0.9)])
-    def test_sum_and_envelope_bitwise(self, rho, q):
+    def test_sum_bitwise(self, rho, q):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             k = mehler_kernel(rho, q)
         s = 2.0 / math.sqrt(1.0 - q)
         x, y = np.linspace(-s, s, 301), np.linspace(-s, s, 65)
-        total, env = _mehler_sum_and_envelope_joint(k, x, y)
-        assert np.array_equal(kernel.mehler_sum(k, x, y), total)
-        got_total, got_env = kernel._mehler_sum_and_last(k, x, y)
-        assert np.array_equal(got_total, total)
-        assert np.array_equal(got_env, env)
+        assert np.array_equal(kernel.mehler_sum(k, x, y), _mehler_sum_joint(k, x, y))
 
 
 class TestTrapezoidLadder:
@@ -313,12 +275,11 @@ class TestResidualSequences:
         zs = ys[::-1]
         for n in range(kernel._EIGEN_DEGREE_MAX + 1):  # (0.01, 0.5) truncates at N = 6
             assert eigen_residual(k, n, ys).tolist() == [eigen_residual(k, n, y) for y in ys]
-        assert stationarity_residual(k, k.law, ys).tolist() == \
-            [stationarity_residual(k, k.law, x) for x in ys]
+        assert stationarity_residual(k, ys).tolist() == [stationarity_residual(k, x) for x in ys]
         assert chapman_kolmogorov_residual(k, ys, zs).tolist() == \
             [chapman_kolmogorov_residual(k, x, z) for x, z in zip(ys, zs)]
         assert all(isinstance(r, float) for r in (
-            eigen_residual(k, 2, ys[0]), stationarity_residual(k, k.law, ys[0]),
+            eigen_residual(k, 2, ys[0]), stationarity_residual(k, ys[0]),
             chapman_kolmogorov_residual(k, ys[0], zs[0])))
 
     @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.8, -0.9), (0.01, 0.5)])
@@ -328,7 +289,7 @@ class TestResidualSequences:
         k = mehler_kernel(rho, q)
         ys = self._points(k)
         for call in (lambda y: eigen_residual(k, 3, y),
-                     lambda y: stationarity_residual(k, k.law, y),
+                     lambda y: stationarity_residual(k, y),
                      lambda y: chapman_kolmogorov_residual(k, y, y)):
             with pytest.raises(QuadratureError) as seq:
                 call(ys)
@@ -355,4 +316,4 @@ class TestResidualSequences:
         with pytest.raises(ValueError, match="one length"):
             chapman_kolmogorov_residual(k, [0.0, 1.0], [0.0])
         with pytest.raises(ValueError, match="1-d"):
-            stationarity_residual(k, k.law, [[0.0]])
+            stationarity_residual(k, [[0.0]])

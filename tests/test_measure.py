@@ -10,9 +10,17 @@ from qfields.measure import (QGaussian, RadialLaw, ScaledTwoPoint,
 from qfields.quadrature import integrate_adaptive
 
 
-def semicircle_cdf(x: float) -> float:
-    """Closed form for the variance-1 semicircle on [-2, 2]."""
-    return 0.5 + x * math.sqrt(4.0 - x * x) / (4.0 * math.pi) + math.asin(x / 2.0) / math.pi
+def semicircle_cdf(x):
+    """Closed form for the variance-1 semicircle on [-2, 2] (vectorized)."""
+    return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * math.pi) + np.arcsin(x / 2.0) / math.pi
+
+
+def quadrature_cdf(spec: QGaussian, x: float) -> float:
+    """F(x) by adaptive quadrature of the weight over theta in [0, arccos(-x/S)],
+    independent of the CDF table's grid and interpolant."""
+    theta = math.acos(-x / support(spec)[1])
+    val, _ = integrate_adaptive(lambda th: measure.theta_weight(spec, th), 0.0, theta, tol=1e-12)
+    return val
 
 
 class TestDensity:
@@ -142,7 +150,7 @@ def _semicircle_pair_integral(m: int, n: int) -> float:
     for j in range(1, max(m, n)):
         nxt = np.zeros(j + 2)
         nxt[1:] += coeffs[j]
-        nxt[: j] -= qpoly.q_bracket(j, 0.0) * coeffs[j - 1]
+        nxt[: j] -= qpoly.q_brackets(j, 0.0)[j] * coeffs[j - 1]
         coeffs.append(nxt)
     prod = np.convolve(coeffs[m], coeffs[n])
     total = 0.0
@@ -170,23 +178,25 @@ class TestOrthogonalityOracle:
 class TestCdfTable:
     def test_midpoint_and_endpoint(self):
         t = cdf_table(QGaussian(0.0))
-        assert t.cdf(0.0) == pytest.approx(0.5, abs=1e-10)
-        assert t.cdf(2.0) == pytest.approx(1.0, abs=1e-12)
-        assert t.cdf(-2.0) == pytest.approx(0.0, abs=1e-12)
+        assert t.quantile(0.5) == pytest.approx(0.0, abs=1e-10)
+        assert t.quantile(1.0) == 2.0
+        assert t.quantile(0.0) == -2.0
 
     def test_closed_form_interior(self):
         t = cdf_table(QGaussian(0.0))
         for x in (-1.5, -0.3, 0.7, 1.0, 1.9):
-            assert t.cdf(x) == pytest.approx(semicircle_cdf(x), abs=1e-8)
+            assert t.quantile(semicircle_cdf(x)) == pytest.approx(x, abs=1e-8)
 
     def test_quantile_round_trip(self):
-        t = cdf_table(QGaussian(0.5))
-        us = np.linspace(0.01, 0.99, 37)
-        assert np.allclose(t.cdf(t.quantile(us)), us, atol=1e-9)
+        s = QGaussian(0.5)
+        t = cdf_table(s)
+        for c in (-0.95, -0.7, -0.3, 0.0, 0.2, 0.6, 0.95):
+            x = c * support(s)[1]
+            assert t.quantile(quadrature_cdf(s, x)) == pytest.approx(x, abs=1e-8)
 
     def test_monotone(self):
         t = cdf_table(QGaussian(0.9))
-        assert np.all(np.diff(t.F) >= 0.0)
+        assert np.all(np.diff(t.quantile(np.linspace(0.0, 1.0, 100_001))) >= 0.0)
         assert t.max_error <= 1e-10
 
     def test_unbounded_rejected(self):
@@ -289,13 +299,19 @@ class TestSampling:
 
     @pytest.mark.parametrize("q", [0.0, 0.5])
     def test_ks_continuous(self, q):
+        # at q = 0 the distance at every draw against the closed form; at q = 0.5 at 63
+        # fixed points against quadrature, which is never larger than the full distance
         n = 100_000
         rng = np.random.default_rng(404)
-        xs = np.sort(sample(QGaussian(q), rng, n))
-        t = cdf_table(QGaussian(q))
-        grid = t.cdf(xs)
-        emp_hi = np.arange(1, n + 1) / n
-        emp_lo = np.arange(0, n) / n
+        s = QGaussian(q)
+        xs = np.sort(sample(s, rng, n))
+        if q == 0.0:
+            at, grid = xs, semicircle_cdf(xs)
+        else:
+            at = np.linspace(*support(s), 65)[1:-1]
+            grid = np.array([quadrature_cdf(s, x) for x in at])
+        emp_hi = np.searchsorted(xs, at, side="right") / n
+        emp_lo = np.searchsorted(xs, at, side="left") / n
         d = max(np.max(np.abs(emp_hi - grid)), np.max(np.abs(grid - emp_lo)))
         assert d <= self.KS_999 / math.sqrt(n)
 

@@ -5,21 +5,21 @@ import pytest
 
 from qfields import qpoly
 from qfields.qpoly import (AllPositive, FailsAt, TerminatesAt, asc_all,
-                           asc_coefficient, favard_scan, q_bracket, q_factorial,
+                           asc_coefficient, favard_scan, q_brackets, q_factorials,
                            qhermite_all, qhermite_table)
 
 
 class TestBrackets:
     def test_hand_values(self):
-        assert q_bracket(4, 0.5) == pytest.approx(1.875, abs=1e-15)
-        assert q_bracket(3, 4.0) == pytest.approx(21.0, abs=1e-12)
+        assert q_brackets(4, 0.5)[4] == pytest.approx(1.875, abs=1e-15)
+        assert q_brackets(3, 4.0)[3] == pytest.approx(21.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
     def test_q_one_is_n(self, n):
-        assert q_bracket(n, 1.0) == n
+        assert q_brackets(n, 1.0)[n] == n
 
     def test_q_minus_one_alternates(self):
-        assert [q_bracket(n, -1.0) for n in range(5)] == [0.0, 1.0, 0.0, 1.0, 0.0]
+        assert [q_brackets(n, -1.0)[n] for n in range(5)] == [0.0, 1.0, 0.0, 1.0, 0.0]
 
     def test_recurrence_consistency(self):
         br = qpoly.q_brackets(10, 0.37)
@@ -27,21 +27,22 @@ class TestBrackets:
             assert br[n] == pytest.approx(br[n - 1] * 0.37 + 1.0, rel=1e-15)
 
     def test_factorial_values(self):
-        assert q_factorial(3, 0.5) == pytest.approx(2.625, abs=1e-15)
-        assert q_factorial(0, 0.9) == 1.0
-        assert q_factorial(5, 1.0) == pytest.approx(math.factorial(5), abs=1e-12)
+        assert q_factorials(3, 0.5)[3] == pytest.approx(2.625, abs=1e-15)
+        assert q_factorials(0, 0.9)[0] == 1.0
+        assert q_factorials(5, 1.0)[5] == pytest.approx(math.factorial(5), abs=1e-12)
 
     def test_factorials_array(self):
         fa = qpoly.q_factorials(6, 0.5)
         assert fa[0] == 1.0
-        for n in range(7):
-            assert fa[n] == pytest.approx(q_factorial(n, 0.5), rel=1e-15)
+        for n in range(7):  # [j]_q = (1 - q^j) / (1 - q)
+            assert fa[n] == pytest.approx(math.prod((1.0 - 0.5 ** j) / 0.5 for j in range(1, n + 1)),
+                                          rel=1e-15)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            q_bracket(-1, 0.5)
+            q_brackets(-1, 0.5)[-1]
         with pytest.raises(ValueError):
-            q_factorial(-2, 0.5)
+            q_factorials(-2, 0.5)[-2]
 
 
 def _coefficient_oracle(q: float, n_max: int) -> list[np.ndarray]:
@@ -49,7 +50,7 @@ def _coefficient_oracle(q: float, n_max: int) -> list[np.ndarray]:
     space; evaluation via Horner is an independent route to the values."""
     coeffs = [np.array([1.0]), np.array([0.0, 1.0])]
     for n in range(1, n_max):
-        br = q_bracket(n, q)
+        br = q_brackets(n, q)[n]
         nxt = np.zeros(n + 2)
         nxt[1:] += coeffs[n]
         nxt[: n] -= br * coeffs[n - 1]

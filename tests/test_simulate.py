@@ -258,7 +258,7 @@ class TestCsvTimeColumn:
 def _rowwise_csv(e) -> str:
     """Oracle: one f-string per row, the writer's original formulation."""
     lines = ["chain,t,x\n"]
-    for cid, row in e.chains():
+    for cid, row in enumerate(e.values):
         lines.extend(f"{cid},{t},{v:.17g}\n" for t, v in enumerate(row))
     return "".join(lines)
 
