@@ -38,8 +38,8 @@ _FAVARD_ZERO = 1e-10
 
 
 def q_brackets(n_max: int, q: float) -> np.ndarray:
-    """Array of [0]_q .. [n_max]_q via the recurrence [n]_q = q*[n-1]_q + 1,
-    [n]_q = 1 + q + ... + q^(n-1) by Horner; [0]_q = 0.
+    """Array of [0]_q .. [n_max]_q, [n]_q = 1 + q + ... + q^(n-1) by the Horner
+    recurrence [n]_q = q*[n-1]_q + 1; [0]_q = 0.
 
     Exact for q = 1 ([n]_1 = n) and q = -1 ([n]_-1 alternates 1, 0).
     """
