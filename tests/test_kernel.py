@@ -68,6 +68,19 @@ class TestTransitionDensity:
             f = measure.density(k.law, xs) * kernel.mehler_sum(k, xs, [y])[:, 0]
             assert np.allclose(f, measure.density(s, xs), atol=1e-5)
 
+    def test_clamp_recorded_at_hard_corner(self):
+        # the truncated series dips below 0 here; the sampler's cell masses clamp it
+        from qfields import simulate
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            k = mehler_kernel(0.8, 0.9)
+        s = 2.0 / math.sqrt(0.1)
+        xs = np.linspace(-s, s, 801)
+        assert np.min(measure.density(k.law, xs) * kernel.mehler_sum(k, xs, [0.95 * s])[:, 0]) < 0.0
+        edges = np.linspace(0.0, math.pi, simulate._N_CELLS + 1)
+        cells = simulate._cell_masses(k, np.linspace(-0.95 * s, 0.95 * s, simulate._N_Y), edges)
+        assert np.all(cells >= 0.0)
+
 
 class TestEigenResidual:
     def test_degree_zero_exact(self):
@@ -193,6 +206,10 @@ class TestComposition:
         k = GaussianAR1(0.6)
         for x, z in ((0.5, -0.3), (1.2, 0.8)):
             assert chapman_kolmogorov_residual(k, x, z) <= 1e-12
+
+    def test_atomic_rejected(self):
+        with pytest.raises(ValueError, match="continuous kernels"):
+            chapman_kolmogorov_residual(TwoPointChain(0.5), 1.0, 1.0)
 
     @pytest.mark.parametrize("rho,q", [(0.5, 0.0), (0.8, 0.9), (0.3, -0.5)])
     def test_mehler_chapman_kolmogorov(self, rho, q):

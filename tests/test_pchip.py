@@ -103,7 +103,7 @@ def test_tables_match_scipy_built_tables(monkeypatch):
     assert_bitwise(got.quantiles, want.quantiles)
 
 
-@pytest.mark.parametrize("q", [-0.9, 0.0, 0.5, 0.9, 0.98])
+@pytest.mark.parametrize("q", [-0.99, -0.9, -0.5, 0.0, 0.5, 0.9, 0.98, 0.985])
 def test_cdf_table_quantile_bitwise(q, monkeypatch):
     [(Fi, xi)] = _cdf_rows(q, monkeypatch)
     rng = np.random.default_rng(7)
