@@ -1,4 +1,4 @@
-"""Byte contract: SHA-256 digests of sampler CSVs and CLI JSON outputs.
+"""Byte contract: SHA-256 digests of sampler CSVs, conditional tables and CLI JSON outputs.
 
 The digests were recorded before the case dispatch was reorganized; a
 refactor that changes any of these bytes changes the program's output and
@@ -18,6 +18,7 @@ import pytest
 import qfields
 from qfields import params, simulate
 from qfields.cli import run
+from qfields.kernel import mehler_kernel
 from qfields.measure import RadialLaw
 from qfields.simulate import SamplerConfig, make_sampler, sample_ensemble, write_csv
 
@@ -50,6 +51,49 @@ KERNEL_CHECK_DIGESTS = {
     (0.99, 1.0): "c271407bb838f69fa00d48749297e125acbd7e2591afa31a9155efbc0001f85d",
     (-0.999, 1.0): "f6af75e737b8b60401491cf4cc083d6f3435decbe76f6326f8d38f2d4e036630",
 }
+
+# SHA-256 of the conditional quantile table bytes at the 30 kernel_scan points the
+# sampler accepts: the build is the largest part of a q-Gaussian make_sampler
+TABLE_DIGESTS = {
+    (-0.8, -0.9): "44386450397fe77392b8671dc1ccc75ec06c1841faeb98b0a83756138ded95df",
+    (-0.8, -0.5): "33113322184f1af3b01eb3e679f3dfc539eb4b2faa73b50190c3c918adfab57c",
+    (-0.8, 0.0): "ede20f3510650e2367f005420ecb3ef157531904296adcfa6706768ea226c8a6",
+    (-0.8, 0.5): "1337c8e6e7593c094ac6ad3efbaf77af8d473509fcc5f06617d6f35ab7485a56",
+    (-0.8, 0.9): "a4ea87c0e1d9172c5dde43157b85e9013598c6b902513c4e574d7550c0447a5e",
+    (-0.3, -0.9): "24d6e43b5330320054eed105d8b558593c35686b7c8b23b19d3ff7bb0194896f",
+    (-0.3, -0.5): "b11862b5dca9e0bbb0fcf45d8c3c58b5ff91bb21535f9fce83ff80482d2cfa9d",
+    (-0.3, 0.0): "b9074c39f662cbb1157c9c05a78cd71778f0df16e68f09458dafadb2ea9a6ba1",
+    (-0.3, 0.5): "29b058f75db3065ecb8d0354d7c44f2ead263439696469e7ff558c01f3317c2a",
+    (-0.3, 0.9): "7e726a397b4761a19107b1c793360c1712564b60f4346ff7af37e274e93bfa9f",
+    (0.3, -0.9): "60c45b372192bd925a60d40ea3239b51405382cc83b528fcac9b9376cde6fbe2",
+    (0.3, -0.5): "044404122852c602a10697cd6fe6a3f20da9034d5dbe61765953b9423a141440",
+    (0.3, 0.0): "f572d3a05983f608d7a9bc6cd553c7e3e56e2371b9ed0177dc1e7784bf291514",
+    (0.3, 0.5): "dcc5ce5ad27b75a592e55364a6285ffe4ee9cbecb48ed445582c570b580e7fbd",
+    (0.3, 0.9): "4535ccc6ab937c1d9650f4e87e17e0202fdad9ca28b394f3b4201be7443c278c",
+    (0.5, -0.9): "b752a1b361c02ce7c131003fa47820d9e1254dce0a9e49665257a830c8b8fc43",
+    (0.5, -0.5): "e5488b036e1e757c22a28aaf786a6ac4a99d77797c96f12ab48647b60841b640",
+    (0.5, 0.0): "88913a2757cc9070cc6ebedba73edbafe66ae56522c1a1b4430a9bdc1f7b41d7",
+    (0.5, 0.5): "8602ae26bedf50abed7412685c5fa99423c0dcddf47e63223367fe84386493e4",
+    (0.5, 0.9): "2e64c420c45a5c136dcf6dae11e27fd5df21f06d0ddd9f0c1c932b6a4049a0dc",
+    (0.8, -0.9): "c41d825973f1120727f3ecad75b3010b33c60ffe2ceb0c86b6bf1b695733c4c8",
+    (0.8, -0.5): "1c2876a9b345d97f1451abd72714bf1eacf9154a3a3f8c16919cdc5e8b41540b",
+    (0.8, 0.0): "e8aaffa7a228119cd68c539993318af26501179a9803a61d3351a2c348e4f304",
+    (0.8, 0.5): "f04dfaaa1b81c502a88bd2b47118c8520a24c6b69389882822861f62ff700c59",
+    (0.8, 0.9): "2e0c5c61ef8785d29b2d25254f7424595a9dac5b868e41ba5bf5db7869f205c8",
+    (0.95, -0.9): "6e4efbd28e267c9ba8c21998597c077fccc80b22381d41d3046e1b0826516bd4",
+    (0.95, -0.5): "0701251e1f4989a306e6277cafae411bcd80590f865321aff8588cb3193e35d5",
+    (0.95, 0.0): "6ec69d4ca74e145a2bca17b41cd6df9985c1f1f5c2dd96b6be69ca7a6849c990",
+    (0.95, 0.5): "0ba8f663467f647ab15928e3068372c8ae35a188cf45094c5e3dd68bd2d5cba1",
+    (0.95, 0.9): "d07d06503aeda0b226e584c338bf9ca93e2d7d35de31a04dd0af5567ad10b3d3",
+}
+
+
+# the q = 0.99 column of kernel_scan: a conditional row's inverse PCHIP has non-finite
+# slopes, and make_sampler refuses with this text; its series tail estimate by rho
+TABLE_REFUSAL = ("conditional tables at rho={rho:g}, q=0.99 have non-finite slopes: "
+                 "series truncated at N=64, tail_estimate {tail}")
+TABLE_REFUSAL_TAILS = {-0.8: "8.12e+71", -0.3: "4.76e+43", 0.3: "4.76e+43",
+                       0.5: "1.75e+58", 0.8: "8.12e+71", 0.95: "2.31e+77"}
 
 # the first ladder that fails to converge, and so its error estimate, is part of the contract
 KERNEL_CHECK_UNCONVERGED_STDERR = (
@@ -129,6 +173,19 @@ def test_cli_case_sample_bytes(case, cpus, tmp_path, monkeypatch):
     assert _cli_stdout(argv)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[case]
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("rho,q", list(TABLE_DIGESTS))
+def test_conditional_table_bytes(rho, q):
+    tables = simulate._build_conditional_tables(mehler_kernel(rho, q))
+    assert hashlib.sha256(tables.quantiles.tobytes()).hexdigest() == TABLE_DIGESTS[(rho, q)]
+
+
+@pytest.mark.parametrize("rho", list(TABLE_REFUSAL_TAILS))
+def test_conditional_table_refusal_text(rho):
+    with pytest.raises(simulate.SamplerError) as err:
+        simulate._build_conditional_tables(mehler_kernel(rho, 0.99))
+    assert str(err.value) == TABLE_REFUSAL.format(rho=rho, tail=TABLE_REFUSAL_TAILS[rho])
 
 
 @pytest.mark.parametrize("rho,q", list(KERNEL_CHECK_DIGESTS))
