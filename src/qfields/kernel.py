@@ -176,9 +176,15 @@ def _mehler_coeffs(k: MehlerQ) -> np.ndarray:
 def mehler_sum(k: MehlerQ, x, y) -> np.ndarray:
     """The bivariate series sum_{n<=N} rho^n Q_n(x) Q_n(y) / [n]_q!
     with shape (len(x), len(y))."""
+    return _mehler_rows(k, x, qpoly.qhermite_table(y, k.q, k.truncation))
+
+
+def _mehler_rows(k: MehlerQ, x, qy: np.ndarray) -> np.ndarray:
+    """mehler_sum(k, x, y) from qy = qhermite_table(y, k.q, k.truncation), which a
+    caller summing many x against one y tabulates once."""
     qx = qpoly.qhermite_table(x, k.q, k.truncation)
     qx *= _mehler_coeffs(k)[:, None]
-    return qx.T @ qpoly.qhermite_table(y, k.q, k.truncation)
+    return qx.T @ qy
 
 
 def _ar1_density(k: GaussianAR1, x, y):

@@ -308,11 +308,17 @@ class Pchip:
         # x[i] <= at < x[i+1]; the right end belongs to the last interval
         i = np.where(inside, np.minimum(np.searchsorted(x, at, side="right") - 1,
                                         x.size - 2), 0)
-        s = at - x[i]
-        ss = s * s
-        # SciPy's evaluate_poly1 order, lowest power first: the bits depend on it
-        val = ((0.0 + c[3, i]) + c[2, i] * s) + c[1, i] * ss + c[0, i] * (ss * s)
-        return np.where(inside, val, np.nan)
+        return np.where(inside, _pchip_pieces(x, c, i, at), np.nan)
+
+
+def _pchip_pieces(x: np.ndarray, c: np.ndarray, i: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The cubic of interval i[j] at at[j], for breaks x and coefficients c laid out
+    as ``Pchip``'s (and SciPy's)."""
+    s = at - x.take(i)
+    ss = s * s
+    # SciPy's evaluate_poly1 order, lowest power first: the bits depend on it
+    return (((0.0 + c[3].take(i)) + c[2].take(i) * s) + c[1].take(i) * ss
+            + c[0].take(i) * (ss * s))
 
 
 def _pchip_end_slope(h0, h1, m0, m1):

@@ -35,10 +35,11 @@ import numpy as np
 
 from . import measure
 from .kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TransitionKernel,
-                     TwoPointChain, mehler_kernel, mehler_sum)
+                     TwoPointChain, _mehler_rows, mehler_kernel)
 from .measure import RadialLaw, pchip, theta_cells, theta_to_x, theta_weight
 from .params import Classification, ExistsGaussian, ExistsQGaussian, \
     ExistsScaledTwoPoint, ExistsTwoPointSymmetric
+from .qpoly import qhermite_table
 
 __all__ = [
     "SamplerConfig",
@@ -93,7 +94,11 @@ class ConditionalTables:
       k = searchsorted(y_nodes, y) in 0.._N_Y.
 
     The quantiles come from the cell masses of f(.|y), which the build sums a
-    block of _BLOCK_CELLS theta-cells at a time (see _cell_masses).
+    block of _BLOCK_CELLS theta-cells at a time against one table of Q_0..Q_N at
+    the states (see _cell_masses).  Row j is the inverse PCHIP of the CDF row
+    F(.|y_nodes[j]), read at the levels k / (_N_U - 1): _N_U - 1 is a power of two,
+    so each level is exact and the interval holding it is found by counting the
+    breaks at or below it (see _on_u_grid), with the values a search would give.
     """
 
     y_nodes: np.ndarray
@@ -195,14 +200,16 @@ _STENCIL_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 def _cell_masses(k: MehlerQ, y_nodes: np.ndarray, theta_edges: np.ndarray) -> np.ndarray:
     """The mass of f(.|y) in each theta-cell, shape (_N_CELLS, _N_Y): Gauss-Legendre
     over _CELL_NODES nodes per cell, the kernel evaluated _BLOCK_CELLS cells at a
-    time, and each product rounded as over the whole grid at once."""
+    time against one table of Q_0..Q_N at the states, and each product rounded as
+    over the whole grid at once."""
     nodes, wts = (a.ravel() for a in theta_cells(theta_edges, _CELL_NODES))
     x_nodes = theta_to_x(k.law, nodes)
     wt = theta_weight(k.law, nodes)  # marginal weight in theta
+    qy = qhermite_table(y_nodes, k.q, k.truncation)
     cells = np.empty((_N_CELLS, _N_Y))
     for c in range(0, _N_CELLS, _BLOCK_CELLS):
         at = slice(c * _CELL_NODES, (c + _BLOCK_CELLS) * _CELL_NODES)
-        ker = mehler_sum(k, x_nodes[at], y_nodes)  # (_BLOCK_CELLS * _CELL_NODES, _N_Y)
+        ker = _mehler_rows(k, x_nodes[at], qy)  # (_BLOCK_CELLS * _CELL_NODES, _N_Y)
         np.multiply(wt[at, None], ker, out=ker)
         np.maximum(ker, 0.0, out=ker)  # clamp truncation wobble
         np.multiply(wts[at, None], ker, out=ker)
@@ -216,8 +223,8 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
     y_nodes = theta_to_x(spec, np.linspace(0.0, math.pi, _N_Y))
     theta_edges = np.linspace(0.0, math.pi, _N_CELLS + 1)
     x_edges = theta_to_x(spec, theta_edges)
-    cells = _cell_masses(k, y_nodes, theta_edges)
-    F = np.vstack([np.zeros(_N_Y), np.cumsum(cells, axis=0)])
+    # the cell masses are not held through the row loop, where the build peaks
+    F = np.vstack([np.zeros(_N_Y), np.cumsum(_cell_masses(k, y_nodes, theta_edges), axis=0)])
     totals = F[-1]
     if np.any(totals <= 0.0):
         raise SamplerError("conditional mass vanished while building tables")
@@ -236,7 +243,7 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
                 f"slopes: series truncated at N={k.truncation}, tail_estimate "
                 f"{k.tail_estimate:.3g}") from None
         with np.errstate(invalid="ignore"):  # inf * 0 at u = 0, pinned below
-            quant[j] = interp(u_grid)
+            quant[j] = _on_u_grid(interp, u_grid)
     quant[:, 0] = x_edges[0]
     quant[:, -1] = x_edges[-1]
     np.clip(quant, -s, s, out=quant)
@@ -247,6 +254,19 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
         y_nodes=y_nodes, quantiles=quant, support_radius=s, stencil_y=stencil_y,
         stencil_den=den.T, cells=(_STENCIL_ROWS[:, None] + j0) * _N_U,
         start=np.minimum(np.maximum(np.arange(_N_Y + 1) - 2, 0), _N_Y - 4))
+
+
+def _on_u_grid(interp, u_grid: np.ndarray) -> np.ndarray:
+    """``interp(u_grid)``, u_grid = linspace(0, 1, _N_U), for a ``Pchip`` (or an
+    interpolant with its x and c) whose breaks run from 0 to 1.  _N_U - 1 is a power
+    of two, so level k is exactly k / (_N_U - 1), and x[i] <= k / (_N_U - 1) iff
+    ceil((_N_U - 1) x[i]) <= k: counting those breaks finds the interval of
+    ``Pchip``'s search."""
+    x = interp.x
+    i = np.cumsum(np.bincount(np.ceil(x * (_N_U - 1)).astype(np.intp), minlength=_N_U))
+    i -= 1
+    np.minimum(i, x.size - 2, out=i)
+    return measure._pchip_pieces(x, interp.c, i, u_grid)
 
 
 def _conditional_quantile(tables: ConditionalTables, y: np.ndarray,

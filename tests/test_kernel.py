@@ -43,10 +43,11 @@ class TestTransitionDensity:
             1.0 / math.sqrt(2.0 * math.pi * 0.64), abs=1e-15)
 
     def test_ar1_normalizes(self):
-        from qfields.quadrature import integrate_gaussian
+        from qfields.quadrature import integrate_adaptive
         k = GaussianAR1(0.6)
-        sd = math.sqrt(1.0 - 0.36)
-        val = integrate_gaussian(lambda x: np.ones_like(x), mean=0.6 * 1.2, sd=sd)
+        mean, sd = 0.6 * 1.2, math.sqrt(1.0 - 0.36)  # of f(. | y = 1.2)
+        val, _ = integrate_adaptive(lambda x: kernel._ar1_density(k, x, 1.2),
+                                    mean - 12.0 * sd, mean + 12.0 * sd, tol=1e-12)
         assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_mehler_normalizes(self):

@@ -6,7 +6,10 @@ term, so the sampler tables built with it are bit-identical to the ones
 SciPy would build.  These tests hold it to that on the inputs the package
 produces (the conditional-table rows and the CDF table's quantile rows), on
 out-of-range, endpoint and NaN evaluation points, on 2- and 3-point data,
-and on the rows near q = 1 where the slopes stop being finite.
+and on the rows near q = 1 where the slopes stop being finite.  The table
+build reads each conditional row on its u-grid by counting, not searching;
+that reader is held to SciPy's evaluation on the same rows and on breaks
+that share a u-cell, sit on a level or lie one ulp inside the ends.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from scipy.interpolate import PchipInterpolator
 
 from qfields import measure, simulate
 from qfields.kernel import mehler_kernel
-from qfields.measure import QGaussian, cdf_table, pchip
+from qfields.measure import Pchip, QGaussian, cdf_table, pchip
 
 
 def assert_bitwise(got, want):
@@ -52,7 +55,9 @@ def _probes(x, rng):
 def _recorded_rows(module, build, monkeypatch):
     """The (x, y) data of every interpolant ``build()`` makes through
     ``module.pchip``; data whose slopes are not finite is recorded too and
-    the build goes on past it (on a private table cache)."""
+    the build goes on past it with an interpolant that is NaN wherever it is
+    read, called or through its breaks and coefficients (on a private table
+    cache)."""
     rows = []
 
     def record(x, y):
@@ -60,7 +65,7 @@ def _recorded_rows(module, build, monkeypatch):
         try:
             return pchip(x, y)
         except ValueError:
-            return lambda at: np.full_like(at, np.nan)
+            return Pchip(x, np.full((4, x.size - 1), np.nan))
 
     monkeypatch.setattr(module, "pchip", record)
     monkeypatch.setattr(measure, "_TABLE_CACHE", {})
@@ -86,6 +91,39 @@ def test_conditional_rows_bitwise(rho, q, monkeypatch):
     u_grid = np.linspace(0.0, 1.0, simulate._N_U)
     for x, y in rows:
         assert assert_same_as_scipy(x, y, u_grid)
+        assert_u_grid_reader_as_scipy(x, y)
+
+
+def assert_u_grid_reader_as_scipy(x, y):
+    """The table build's reader of the u-grid, on the package's interpolant and on
+    SciPy's, is bit for bit SciPy's evaluation there."""
+    u_grid = np.linspace(0.0, 1.0, simulate._N_U)
+    with np.errstate(all="ignore"):
+        want = PchipInterpolator(x, y, extrapolate=False)
+        assert_bitwise(simulate._on_u_grid(pchip(x, y), u_grid), want(u_grid))
+        assert_bitwise(simulate._on_u_grid(want, u_grid), want(u_grid))
+
+
+def test_u_grid_levels_are_exact():
+    # the reader's premise: level k of the u-grid is k / (_N_U - 1) to the bit
+    n = simulate._N_U
+    assert np.array_equal(np.linspace(0.0, 1.0, n) * (n - 1), np.arange(n))
+
+
+# (x, y) with breaks x running from 0 to 1, as a conditional CDF row's do; y is flat
+# across the two tiny intervals, whose slopes would not be finite otherwise
+U_GRID_ROWS = {
+    "two breaks": ([0.0, 1.0], [-1.5, 1.5]),
+    "five in one u-cell": ([0.0] + [0.3 + k * 8e-6 for k in range(1, 6)] + [1.0],
+                           [-1.4, -0.3, -0.2, 0.1, 0.0, 0.2, 1.4]),
+    "on levels": ([0.0, 7 / 4096, 0.5, 3071 / 4096, 1.0], [-1.0, -0.9, 0.0, 0.6, 1.0]),
+    "extreme": ([0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0], [-1.0, -1.0, 0.2, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(U_GRID_ROWS))
+def test_u_grid_reader_rows(name):
+    assert_u_grid_reader_as_scipy(*(np.array(a) for a in U_GRID_ROWS[name]))
 
 
 def test_conditional_rows_near_q_one_raise_alike(monkeypatch):
