@@ -29,9 +29,6 @@ from .params import (
     params_from_rho_q,
 )
 from .qpoly import (
-    qhermite_all,
-    asc_all,
-    asc_coefficient,
     favard_scan,
     AllPositive,
     TerminatesAt,
@@ -48,7 +45,6 @@ from .measure import (
     density,
     moment,
     cdf_table,
-    sample,
 )
 from .kernel import (
     TransitionKernel,
@@ -73,14 +69,11 @@ from .simulate import (
 )
 from .verify import (
     TestEntry,
-    empirical_corr,
     weak_form_residuals,
     martingale_residuals,
-    symmetry_checks,
     standard_suite,
     build_report,
     report_json,
-    load_report,
 )
 
 __version__ = "0.1.0"

@@ -371,7 +371,7 @@ def _cmd_verify(args) -> int:
             fh.write(text)
     if args.json or not args.report:
         sys.stdout.write(text)
-    n_fail = verify.n_failures(report)
+    n_fail = report["summary"]["n_fail"]
     if not args.json and args.report:
         print(f"{len(entries)} tests, {n_fail} failures; report written to {args.report}")
     return 3 if n_fail else 0

@@ -85,7 +85,7 @@ class MehlerQ(TransitionKernel):
 
     def expect(self, y: float, g) -> np.ndarray:
         n1 = self.truncation + 1
-        ky = _mehler_coeffs(self) * qpoly.qhermite_all(y, self.q, self.truncation)
+        ky = _mehler_coeffs(self) * qpoly.qhermite_table(float(y), self.q, self.truncation)[:, 0]
         return _ladder(self, lambda x, wq, tab: g(x) @ (wq * (ky @ tab[:n1])))
 
 

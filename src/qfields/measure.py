@@ -36,7 +36,6 @@ __all__ = [
     "density",
     "moment",
     "cdf_table",
-    "sample",
 ]
 
 
@@ -287,7 +286,7 @@ def moment(spec: MeasureSpec, k: int) -> float:
     raise TypeError(f"unknown spec {spec!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pchip:
     """Monotone cubic Hermite interpolant (PCHIP, Fritsch-Carlson) on strictly
     increasing breaks x; NaN outside [x[0], x[-1]] and at NaN.
@@ -354,7 +353,7 @@ def pchip(x: np.ndarray, y: np.ndarray) -> Pchip:
     return Pchip(x, c)
 
 
-@dataclass
+@dataclass(eq=False)
 class CdfTable:
     """Quantile function of a compact law, interpolated from its CDF on a
     cosine-spaced support grid ``x``.
@@ -434,10 +433,3 @@ def cdf_table(spec: MeasureSpec) -> CdfTable:
             f"non-finite slopes: the mass near the support ends underflows") from None
     _TABLE_CACHE[spec] = table
     return table
-
-
-def sample(spec: MeasureSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n values through the law's inverse-CDF map."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return spec.draw(rng.random((spec.n_uniforms, n)))

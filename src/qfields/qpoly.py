@@ -1,11 +1,12 @@
 """q-deformed combinatorics and three-term recurrences.
 
 q-brackets and q-factorials, the monic q-Hermite family ``Q_n`` used as
-eigenfunctions of the one-step conditional expectation, the two-parameter
-family ``p_n`` orthogonal for the conditional law given one neighbour, and
-the positivity scan of its recurrence coefficients (a zero coefficient means
-the orthogonality measure has finite support, a negative one that no positive
-measure exists).
+eigenfunctions of the one-step conditional expectation, and the positivity
+scan of the recurrence coefficients c_n = (1 - rho^2 q^(n-1)) [n]_q of the
+Al-Salam-Chihara family ``p_n``, orthogonal for the conditional law given one
+neighbour (a zero coefficient means the orthogonality measure has finite
+support, a negative one that no positive measure exists).  The ``p_n``
+themselves are evaluated only in the tests, as the oracle of that law.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ __all__ = [
     "q_brackets",
     "q_factorials",
     "qhermite_table",
-    "qhermite_all",
-    "asc_table",
-    "asc_all",
-    "asc_coefficient",
     "FavardVerdict",
     "AllPositive",
     "TerminatesAt",
@@ -88,51 +85,6 @@ def qhermite_table(x, q: float, n_max: int) -> np.ndarray:
         tab[n + 1] = nxt
         prev, cur, nxt = cur, nxt, prev
     return tab
-
-
-def qhermite_all(x: float, q: float, n_max: int) -> np.ndarray:
-    """Q_0(x)..Q_{n_max}(x) at a single point."""
-    return qhermite_table(float(x), q, n_max)[:, 0]
-
-
-def asc_table(x, y: float, rho: float, q: float, n_max: int) -> np.ndarray:
-    """Evaluate p_0..p_{n_max} at ``x`` for the conditional-law family.
-
-    p_0 = 1, p_1 = x - rho*y,
-    p_{n+1} = (x - rho*y*q^n) p_n - (1 - rho^2 q^{n-1}) [n]_q p_{n-1}.
-    At rho -> 0 the family degenerates to the q-Hermite polynomials.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > MAX_DEGREE:
-        raise ValueError(f"degree {n_max} exceeds supported maximum {MAX_DEGREE}")
-    xs = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
-    tab = np.empty((n_max + 1, xs.size), dtype=np.longdouble)
-    tab[0] = 1.0
-    if n_max >= 1:
-        tab[1] = xs - np.longdouble(rho) * np.longdouble(y)
-    br = np.longdouble(0.0)
-    qq = np.longdouble(q)
-    qn = np.longdouble(1.0)  # q^{n-1}
-    rr = np.longdouble(rho)
-    yy = np.longdouble(y)
-    for n in range(1, n_max):
-        br = br * qq + 1.0  # [n]_q
-        tab[n + 1] = (xs - rr * yy * qn * qq) * tab[n] - (1.0 - rr * rr * qn) * br * tab[n - 1]
-        qn *= qq
-    return tab.astype(np.float64)
-
-
-def asc_all(x: float, y: float, rho: float, q: float, n_max: int) -> np.ndarray:
-    """p_0(x)..p_{n_max}(x) at a single point."""
-    return asc_table(float(x), y, rho, q, n_max)[:, 0]
-
-
-def asc_coefficient(n: int, rho: float, q: float) -> float:
-    """Product coefficient c_n = (1 - rho^2 q^{n-1}) [n]_q of the recurrence."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (1.0 - rho * rho * q ** (n - 1)) * float(q_brackets(n, q)[n])
 
 
 class FavardVerdict:

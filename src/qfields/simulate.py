@@ -110,11 +110,10 @@ class ConditionalTables:
     start: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Deterministic ensemble of chains; row i is chain id i."""
 
-    master_seed: int
     values: np.ndarray  # shape (n_chains, n_steps)
 
     @property
@@ -337,7 +336,7 @@ def sample_ensemble(s: ChainSampler, n_chains: int, n_steps: int,
     _check_counts(n_chains, n_steps, master_seed)
     vals = _sample_block(s, range(n_chains), n_steps, master_seed)
     vals.setflags(write=False)
-    return Ensemble(master_seed=master_seed, values=vals)
+    return Ensemble(values=vals)
 
 
 _HEADER = "chain,t,x\n"
@@ -464,7 +463,7 @@ def _write_block(s: ChainSampler, ids: range, n_steps: int, master_seed: int,
 
 
 def read_csv(source) -> Ensemble:
-    """Read the write_csv format back into an ensemble (seed unknown: 0).
+    """Read the write_csv format back into an ensemble.
 
     Rows must come in (chain, t) order: chain ids 0..k-1, and within each
     chain t = 0..n-1.  A path to a regular file is parsed by NumPy's chunked
@@ -473,10 +472,10 @@ def read_csv(source) -> Ensemble:
     """
     (values,), _, _ = _read_blocks(source, lambda v: v, 1)
     values.setflags(write=False)
-    return Ensemble(master_seed=0, values=values)
+    return Ensemble(values=values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Block:
     """What one block of CSV rows tells the reader: the ``np.unique`` ids and counts
     of its chain column and whether its rows run t = 0..n-1 within each chain,

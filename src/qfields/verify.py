@@ -36,16 +36,12 @@ from .simulate import Ensemble
 
 __all__ = [
     "TestEntry",
-    "empirical_corr",
     "weak_form_residuals",
     "martingale_residuals",
-    "symmetry_checks",
     "standard_suite",
     "verify_csv",
     "build_report",
     "report_json",
-    "load_report",
-    "n_failures",
 ]
 
 DEFAULT_THRESHOLD = 4.0
@@ -103,12 +99,6 @@ def _corr_stats(vb: np.ndarray, rho: float) -> list[np.ndarray]:
     return [(vb[:, :-k] * vb[:, k:]).mean(axis=1) - rho ** k for k in range(1, _K_MAX + 1)]
 
 
-def empirical_corr(e: Ensemble, rho: float) -> list[TestEntry]:
-    """Lag-k cross moments against rho^k, k = 1..5 (standardized scale,
-    so no per-chain studentizing; lag 0 is identically 1 and not gated)."""
-    return _gates(_CORR_TESTS, _by_rows(e.values, partial(_corr_stats, rho=rho)))
-
-
 _MONOMIALS = [(i, j) for i in range(_DEGREE + 1) for j in range(_DEGREE + 1 - i)]
 _WEAK_TESTS = [test for (i, j) in _MONOMIALS for test in (
     (f"weak_lin_x{i}y{j}", f"E[(x_t - a(x_(t-1)+x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]"),
@@ -150,8 +140,6 @@ def _mart_tests(n_max: int) -> list[tuple[str, str]]:
 
 
 def _mart_stats(vb: np.ndarray, rho: float, q: float, n_max: int) -> list[np.ndarray]:
-    if not 1 <= n_max <= 8:
-        raise ValueError("n_max must be in [1, 8]")
     deg = max(n_max, _M_MAX)
     tabs = qpoly.qhermite_table(vb.ravel(), q, deg).reshape(deg + 1, *vb.shape)
     cols = []
@@ -161,12 +149,11 @@ def _mart_stats(vb: np.ndarray, rho: float, q: float, n_max: int) -> list[np.nda
     return cols
 
 
-def martingale_residuals(e: Ensemble, rho: float, q: float,
-                         n_max: int = _N_MAX) -> list[TestEntry]:
-    """Gates E[(Q_n(X_{t+1}) - rho^n Q_n(X_t)) Q_m(X_t)] for n = 1..n_max,
+def martingale_residuals(e: Ensemble, rho: float, q: float) -> list[TestEntry]:
+    """Gates E[(Q_n(X_{t+1}) - rho^n Q_n(X_t)) Q_m(X_t)] for n = 1..4,
     m = 0..4, with the polynomials built at the supplied q."""
-    return _gates(_mart_tests(n_max),
-                  _by_rows(e.values, partial(_mart_stats, rho=rho, q=q, n_max=n_max)))
+    return _gates(_mart_tests(_N_MAX),
+                  _by_rows(e.values, partial(_mart_stats, rho=rho, q=q, n_max=_N_MAX)))
 
 
 _SYM_TESTS = [("sym_mean", "E[x]"), ("sym_third", "E[x^3]")]
@@ -174,11 +161,6 @@ _SYM_TESTS = [("sym_mean", "E[x]"), ("sym_third", "E[x^3]")]
 
 def _sym_stats(vb: np.ndarray) -> list[np.ndarray]:
     return [vb.mean(axis=1), (vb ** 3).mean(axis=1)]
-
-
-def symmetry_checks(e: Ensemble) -> list[TestEntry]:
-    """Gates the first and third moments near zero."""
-    return _gates(_SYM_TESTS, _by_rows(e.values, _sym_stats))
 
 
 def _battery(p: FieldParams, c: Classification) -> tuple[list[tuple[str, str]], Callable]:
@@ -248,18 +230,3 @@ def build_report(entries: list[TestEntry], meta: dict) -> dict:
 
 def report_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
-
-
-def load_report(source) -> dict:
-    """Read back a report (path, file object or JSON string)."""
-    if hasattr(source, "read"):
-        return json.load(source)
-    text = str(source)
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    with open(text, "r") as fh:
-        return json.load(fh)
-
-
-def n_failures(report: dict) -> int:
-    return int(report["summary"]["n_fail"])

@@ -195,7 +195,7 @@ def test_criterion_5_favard_suite():
             v = qpoly.favard_scan(rho, q, 200)
             if not (isinstance(v, qpoly.TerminatesAt) and v.n0 == m + 1 and v.m == m):
                 problems.append(f"lattice detection failed at rho={rho}, m={m}: {v}")
-            c = qpoly.asc_coefficient(m + 1, rho, q)
+            c = (1.0 - rho * rho * q ** m) * qpoly.q_brackets(m + 1, q)[m + 1]
             if abs(c) > 1e-10:
                 problems.append(f"|c_(m+1)| = {abs(c):.2e} at rho={rho}, m={m}")
     rng = np.random.default_rng(20240229)
@@ -248,11 +248,11 @@ def test_criterion_6_monte_carlo_suite():
         ("scaled radial sqrt2/0", FieldParams(0.5, 0.5, 0.0, 0.0, 0.0),
          SamplerConfig(rho=0.5, radial=radial), 1006),
     ]
-    gauss_ens = None
+    gauss = None
     for name, p, cfg, seed in cases:
         c, ens, entries = _mc_case(name, p, cfg, seed)
         if name.startswith("gaussian"):
-            gauss_ens = ens
+            gauss = p, c, ens
         for e in entries:
             if not e.passed:
                 problems.append(f"{name}: {e.test_id} failed "
@@ -264,16 +264,17 @@ def test_criterion_6_monte_carlo_suite():
                 problems.append("scaled case: classification lacks the zero-atom caveat")
 
     # documented corruption cases must fail at the pinned seed
+    gauss_p, gauss_c, gauss_ens = gauss
     corrupted = verify.weak_form_residuals(
         gauss_ens, FieldParams(0.5, 0.2, 0.32, 0.6, 0.0))
     if all(e.passed for e in corrupted if e.test_id == "weak_quad_x2y0"):
         problems.append("corrupted A did not fail the quadratic x^2 gate")
-    wrong_rho = verify.martingale_residuals(gauss_ens, 0.55, 1.0, n_max=2)
+    wrong_rho = verify.martingale_residuals(gauss_ens, 0.55, 1.0)
     if next(e for e in wrong_rho if e.test_id == "mart_n2_m2").passed:
         problems.append("corrupted rho did not fail the (2,2) eigen-increment gate")
     from qfields.simulate import Ensemble
-    shifted = Ensemble(master_seed=gauss_ens.master_seed, values=gauss_ens.values + 0.1)
-    if verify.symmetry_checks(shifted)[0].passed:
+    shifted = verify.standard_suite(Ensemble(values=gauss_ens.values + 0.1), gauss_p, gauss_c)
+    if next(e for e in shifted if e.test_id == "sym_mean").passed:
         problems.append("shifted ensemble did not fail the mean gate")
     _finish(6, "Monte Carlo suite", problems, t0, 180.0)
 

@@ -7,7 +7,6 @@ import pytest
 
 from qfields import cli, kernel, simulate
 from qfields.cli import run
-from qfields.verify import load_report
 
 
 def run_capture(capsys, argv):
@@ -197,7 +196,7 @@ class TestSampleVerify:
             capsys, ["verify", "--in", str(csv_path), *GAUSS_ARGS,
                      "--report", str(report_path), "--seed", "7"])
         assert code == 0
-        rep = load_report(str(report_path))
+        rep = json.loads(report_path.read_text())
         assert rep["summary"]["n_fail"] == 0
         assert rep["meta"]["seed"] == 7
         assert rep["meta"]["classification"] == "ExistsGaussian"

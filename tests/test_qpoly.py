@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qfields import qpoly
-from qfields.qpoly import (AllPositive, FailsAt, TerminatesAt, asc_all,
-                           asc_coefficient, favard_scan, q_brackets, q_factorials,
-                           qhermite_all, qhermite_table)
+from qfields.kernel import mehler_kernel
+from qfields.qpoly import (AllPositive, FailsAt, TerminatesAt, favard_scan, q_brackets,
+                           q_factorials, qhermite_table)
 
 
 class TestBrackets:
@@ -66,8 +66,8 @@ class TestQHermite:
         assert np.allclose(tab[2], xs * xs - 1.0, atol=1e-14)
 
     def test_hand_values(self):
-        assert qhermite_all(2.0, 1.0, 3)[3] == pytest.approx(2.0, abs=1e-14)  # x^3 - 3x
-        assert qhermite_all(1.5, 0.0, 3)[3] == pytest.approx(0.375, abs=1e-14)  # x^3 - 2x
+        assert qhermite_table(2.0, 1.0, 3)[3, 0] == pytest.approx(2.0, abs=1e-14)  # x^3 - 3x
+        assert qhermite_table(1.5, 0.0, 3)[3, 0] == pytest.approx(0.375, abs=1e-14)  # x^3 - 2x
 
     @pytest.mark.parametrize("q", [-0.9, 0.0, 0.5, 1.0])
     def test_against_coefficient_oracle(self, q):
@@ -85,27 +85,73 @@ class TestQHermite:
             qhermite_table(np.array([0.5]), 0.3, qpoly.MAX_DEGREE + 1)
 
 
+def _asc_coefficient(n: int, rho: float, q: float) -> float:
+    """Product coefficient c_n = (1 - rho^2 q^(n-1)) [n]_q of the p_n recurrence,
+    the coefficient favard_scan scans."""
+    return (1.0 - rho * rho * q ** (n - 1)) * float(q_brackets(n, q)[n])
+
+
+def _asc_table(x, y: float, rho: float, q: float, n_max: int) -> np.ndarray:
+    """p_0..p_{n_max} at the points ``x``, shape (n_max+1, len(x)): the
+    Al-Salam-Chihara family orthogonal for the conditional law given one
+    neighbour y, by its recurrence in extended precision,
+    p_0 = 1, p_1 = x - rho*y, p_{n+1} = (x - rho*y*q^n) p_n - c_n p_{n-1}.
+    At rho -> 0 the family degenerates to the q-Hermite polynomials."""
+    xs = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
+    tab = np.empty((n_max + 1, xs.size), dtype=np.longdouble)
+    tab[0] = 1.0
+    if n_max >= 1:
+        tab[1] = xs - np.longdouble(rho) * np.longdouble(y)
+    br = np.longdouble(0.0)
+    qq = np.longdouble(q)
+    qn = np.longdouble(1.0)  # q^{n-1}
+    rr = np.longdouble(rho)
+    yy = np.longdouble(y)
+    for n in range(1, n_max):
+        br = br * qq + 1.0  # [n]_q
+        tab[n + 1] = (xs - rr * yy * qn * qq) * tab[n] - (1.0 - rr * rr * qn) * br * tab[n - 1]
+        qn *= qq
+    return tab.astype(np.float64)
+
+
 class TestConditionalFamily:
     def test_first_step(self):
-        assert asc_all(1.0, 1.0, 0.5, 0.3, 1)[1] == pytest.approx(0.5, abs=1e-15)
+        assert _asc_table(1.0, 1.0, 0.5, 0.3, 1)[1, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_second_step(self):
         # p1 = 0.3 + 0.1 = 0.4; p2 = (0.3 + 0.05)*0.4 - 0.75*1 = -0.61
-        vals = asc_all(0.3, -0.2, 0.5, 0.5, 2)
+        vals = _asc_table(0.3, -0.2, 0.5, 0.5, 2)[:, 0]
         assert vals[1] == pytest.approx(0.4, abs=1e-15)
         assert vals[2] == pytest.approx(-0.61, abs=1e-15)
 
     @pytest.mark.parametrize("q", [-0.5, 0.0, 0.7])
     def test_small_rho_limit_is_qhermite(self, q):
         xs = np.linspace(-1.5, 1.5, 9)
-        near = qpoly.asc_table(xs, y=0.8, rho=1e-12, q=q, n_max=8)
+        near = _asc_table(xs, y=0.8, rho=1e-12, q=q, n_max=8)
         ref = qhermite_table(xs, q, 8)
         assert np.allclose(near, ref, atol=1e-9)
 
     def test_coefficient_values(self):
-        assert asc_coefficient(1, 0.5, 0.77) == pytest.approx(0.75, abs=1e-15)
-        assert asc_coefficient(2, 0.5, 4.0) == pytest.approx(0.0, abs=1e-15)
-        assert asc_coefficient(3, 0.5, 3.0) == pytest.approx(-16.25, abs=1e-12)
+        assert _asc_coefficient(1, 0.5, 0.77) == pytest.approx(0.75, abs=1e-15)
+        assert _asc_coefficient(2, 0.5, 4.0) == pytest.approx(0.0, abs=1e-15)
+        assert _asc_coefficient(3, 0.5, 3.0) == pytest.approx(-16.25, abs=1e-12)
+
+    # the ladder of MehlerQ.expect raises QuadratureError at (-0.8, -0.99) and (0.5, 0.99)
+    @pytest.mark.parametrize("rho, q", [(0.5, 0.5), (0.5, -0.5), (0.5, -0.9), (0.8, 0.9),
+                                        (0.95, 0.5), (0.3, 0.0)])
+    def test_orthogonal_for_the_kernel_conditional_law(self, rho, q):
+        # E[p_n(X) | y] = 0 for n = 1..8 under the kernel's law f(. | y), relative to
+        # ||p_n||^2 = c_1...c_n; the expansion truncated at N >= 8 integrates p_n, n <= N,
+        # as the full series does.  p_n built at 1.1 rho is the negative control
+        k = mehler_kernel(rho, q)
+        assert k.truncation >= 8
+        norm = np.sqrt(np.cumprod([_asc_coefficient(n, rho, q) for n in range(1, 9)]))
+        for c in (-0.9, -0.4, 0.0, 0.3, 0.8):
+            y = c * 2.0 / math.sqrt(1.0 - q)
+            got = k.expect(y, lambda x: _asc_table(x, y, rho, q, 8)[1:] / norm[:, None])
+            assert np.max(np.abs(got)) <= 1e-9, (y, got)
+            wrong = k.expect(y, lambda x: _asc_table(x, y, 1.1 * rho, q, 8)[1:] / norm[:, None])
+            assert np.max(np.abs(wrong)) > 1e-3, (y, wrong)
 
 
 class TestFavard:
