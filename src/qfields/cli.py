@@ -318,12 +318,18 @@ _CASE_PARAMS = {
 
 
 def _params_for_config(cfg: SamplerConfig) -> params.FieldParams:
-    if cfg.case in _CASE_PARAMS:
-        if cfg.q is not None:
-            raise _UsageError(f"--q conflicts with --case {cfg.case}")
-        return _CASE_PARAMS[cfg.case](cfg.rho)
+    if cfg.case in _CASE_PARAMS and cfg.q is not None:
+        raise _UsageError(f"--q conflicts with --case {cfg.case}")
     if cfg.case == "qgaussian" and cfg.q is None:
         raise _UsageError("case 'qgaussian' requires --q")
+    if cfg.b is not None and cfg.case is not None:
+        raise _UsageError(f"b conflicts with --case {cfg.case}")
+    if cfg.b is not None and cfg.q is not None:
+        raise _UsageError("b conflicts with --q")
+    if cfg.radial is not None and cfg.case != "scaled":
+        raise _UsageError("--radial requires --case scaled")
+    if cfg.case in _CASE_PARAMS:
+        return _CASE_PARAMS[cfg.case](cfg.rho)
     if cfg.q is not None:
         return params.params_from_rho_q(cfg.rho, cfg.q)
     if cfg.b is not None:

@@ -541,25 +541,24 @@ def _chain_bounds(path: str, n_blocks: int) -> list[tuple[int, int | None]]:
     chains, each ``(skiprows, max_rows)`` for np.loadtxt(path); the last one runs to
     the end of the file.
 
-    The file is scanned in binary, with its lines ended as np.loadtxt(path) ends
-    them (universal newlines, see _Newlines); a byte that does not decode is left
-    to the parse of its block to report.  A block starts at the first line past
-    each n_blocks-th of the file's size whose chain field differs numerically from
-    the line before ("1" and "1.0" are one chain).  skiprows counts blank lines,
-    max_rows does not.
+    The file is scanned as text with universal newlines, as np.loadtxt(path) reads
+    it, one character per byte (ASCII, each other byte a lone surrogate); a byte
+    that does not decode is left to the parse of its block to report.  A block
+    starts at the first line past each n_blocks-th of the file's size whose chain
+    field differs numerically from the line before ("1" and "1.0" are one chain).
+    skiprows counts blank lines, max_rows does not.
     """
     targets = [os.path.getsize(path) * i // n_blocks for i in range(1, n_blocks)]
     starts = [(1, 0)]  # (lines, rows) before the first line of each block
-    with open(path, "rb") as raw:
-        fh = _Newlines(raw)
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         lines, rows, pos, prev = 1, 0, len(fh.readline()), None
         for target in targets:
-            whole = True  # the next byte read starts a line
+            whole = True  # the next character read starts a line
             while pos < target and (piece := fh.read(min(target - pos, _SCAN_BYTES))):
                 pos += len(piece)
                 ends, blank = _line_ends(piece, whole)
                 lines, rows = lines + ends, rows + ends - blank
-                whole, prev = piece.endswith(b"\n"), None
+                whole, prev = piece.endswith("\n"), None
             while line := fh.readline():  # to the first line of a new chain
                 pos += len(line)
                 cid = _chain_id(line) if whole else None
@@ -567,7 +566,7 @@ def _chain_bounds(path: str, n_blocks: int) -> list[tuple[int, int | None]]:
                 if new:
                     starts.append((lines, rows))
                 lines += 1
-                if line != b"\n" or not whole:
+                if line != "\n" or not whole:
                     rows += 1
                     prev = cid
                 whole = True
@@ -579,54 +578,22 @@ def _chain_bounds(path: str, n_blocks: int) -> list[tuple[int, int | None]]:
         [(starts[-1][0], None)]
 
 
-# bytes per read of the file in the block split's scan
+# characters (bytes, with each \r\n and lone \r read as \n) per read of the file in
+# the block split's scan
 _SCAN_BYTES = 2 ** 18
 
 
-class _Newlines:
-    r"""A binary file read with universal newlines, as text mode reads it: each
-    \r\n and each lone \r reads as \n.  ``read(n)`` gives the next n bytes so read
-    (fewer only at the end of the file), ``readline()`` the next line."""
-
-    def __init__(self, fh: io.BufferedReader):
-        self._fh, self._buf, self._at = fh, b"", 0
-
-    def _fill(self, n: int) -> bool:
-        """Append what the next n bytes of the file read as; False at its end."""
-        raw = self._fh.read(n)
-        while raw.endswith(b"\r") and (more := self._fh.read(1)):  # keep a \r\n whole
-            raw += more
-        if b"\r" in raw:
-            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        self._buf, self._at = self._buf[self._at:] + raw, 0
-        return bool(raw)
-
-    def read(self, n: int) -> bytes:
-        while len(self._buf) - self._at < n and self._fill(n - len(self._buf) + self._at):
-            pass
-        piece = self._buf[self._at:self._at + n]
-        self._at += len(piece)
-        return piece
-
-    def readline(self) -> bytes:
-        while (end := self._buf.find(b"\n", self._at) + 1) == 0 and self._fill(_SCAN_BYTES):
-            pass
-        line = self._buf[self._at:end or len(self._buf)]
-        self._at += len(line)
-        return line
-
-
-def _line_ends(piece: bytes, whole: bool) -> tuple[int, int]:
+def _line_ends(piece: str, whole: bool) -> tuple[int, int]:
     """The line ends in piece, and how many of them end an empty line: those right
-    after another, and the first byte if whole (piece starts a line)."""
-    ends = np.frombuffer(piece, np.uint8) == ord("\n")
+    after another, and the first character if whole (piece starts a line)."""
+    ends = np.frombuffer(piece.encode("ascii", "surrogateescape"), np.uint8) == ord("\n")
     blank = np.count_nonzero(ends[1:] & ends[:-1]) + int(whole and ends[0])
     return int(np.count_nonzero(ends)), int(blank)
 
 
-def _chain_id(line: bytes) -> float | None:
+def _chain_id(line: str) -> float | None:
     try:
-        return float(line.partition(b",")[0])
+        return float(line.partition(",")[0])
     except ValueError:
         return None
 

@@ -331,6 +331,24 @@ class TestSampleVerify:
         assert code == 1
         assert "conflicts" in err
 
+    @pytest.mark.parametrize("cfg,flags,message", [
+        ({"rho": 0.5, "q": 0.5, "b": 0.3}, [], "b conflicts with --q"),
+        ({"rho": 0.5, "case": "twopoint", "b": 0.3}, [], "b conflicts with --case twopoint"),
+        ({"rho": 0.5, "case": "gaussian", "radial": [[math.sqrt(2.0), 0.5], [0.0, 0.5]]},
+         [], "--radial requires --case scaled"),
+        ({"rho": 0.5}, ["--q", "0.5", "--radial", "1.4142135623730951:0.5,0:0.5"],
+         "--radial requires --case scaled")],
+        ids=["b-with-q", "b-with-case", "radial-with-case-gaussian", "radial-with-q"])
+    def test_sample_ignored_setting_usage_error(self, capsys, tmp_path, cfg, flags, message):
+        # a setting the chosen case would not read is refused, not dropped
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "s.csv"
+        cfg_path.write_text(json.dumps({**cfg, "n_chains": 2, "n_steps": 10}))
+        code, out, err = run_capture(capsys, ["sample", "--config", str(cfg_path), *flags,
+                                              "--out", str(out_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {message}\n")
+        assert not out_path.exists()
+
     def test_sample_open_lattice_exit_two(self, capsys, tmp_path):
         code, _, err = run_capture(
             capsys, ["sample", "--rho", "0.5", "--q", "4", "--chains", "2",

@@ -111,6 +111,12 @@ def _with_blank_lines(rows):
     return rows[:1] + ["\n"] + [r + "\n" * (i % 7 == 3) for i, r in enumerate(rows[1:])] + ["\n"]
 
 
+def _mixed_endings(rows):  # \n, \r\n and \r by turns, and one blank line
+    ends = ("\n", "\r\n", "\r")
+    mixed = [r[:-1] + ends[i % 3] for i, r in enumerate(rows)]
+    return mixed[:100] + ["\r\n"] + mixed[100:]  # row 99 ends with \n
+
+
 VALID = {
     "plain": _rows(),
     "one-and-one-point-zero": _one_and_one_point_zero(_rows()),
@@ -118,6 +124,7 @@ VALID = {
     "blank-lines": _with_blank_lines(_rows()),
     "crlf-blank-lines": _crlf(_with_blank_lines(_rows())),
     "cr": [r.replace("\n", "\r") for r in _rows()],
+    "mixed-endings": _mixed_endings(_rows()),
 }
 
 
@@ -187,6 +194,18 @@ def test_binary_split_reads_a_cr_split_between_reads(tmp_path, monkeypatch):
     # reads of one, two and five bytes split \r\n pairs between two reads
     path = tmp_path / "chains.csv"
     path.write_bytes(LAYOUTS["crlf-blank-lines"].encode())
+    want = [_text_mode_bounds(path, n) for n in (2, 3, 7)]
+    for size in (1, 2, 5):
+        monkeypatch.setattr(simulate, "_SCAN_BYTES", size)
+        assert [simulate._chain_bounds(str(path), n) for n in (2, 3, 7)] == want
+
+
+@pytest.mark.parametrize("name", list(LAYOUTS))
+def test_split_across_short_reads_matches_text_mode_scan(name, tmp_path, monkeypatch):
+    # reads of one, two and five characters put lone CRs, CRLF pairs, blank lines and
+    # the undecodable byte across the boundaries between reads
+    path = tmp_path / "chains.csv"
+    path.write_bytes(LAYOUTS[name].encode(errors="surrogateescape"))
     want = [_text_mode_bounds(path, n) for n in (2, 3, 7)]
     for size in (1, 2, 5):
         monkeypatch.setattr(simulate, "_SCAN_BYTES", size)
