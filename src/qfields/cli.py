@@ -47,6 +47,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the sampler cases that sample's --case and the config key case may name
+_CASES = ("gaussian", "qgaussian", "twopoint", "scaled")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="qfields",
                 description="Stationary random fields with linear regressions and "
@@ -106,8 +110,7 @@ def _build_parser() -> _Parser:
                                        "(default 200 chains x 5000 steps, seed 42)")
     sp.add_argument("--rho", type=float, help="adjacent correlation")
     sp.add_argument("--q", type=float, help="deformation parameter (fills A, C; q=1 is Gaussian)")
-    sp.add_argument("--case", choices=["gaussian", "qgaussian", "twopoint", "scaled"],
-                    help="case override")
+    sp.add_argument("--case", choices=_CASES, help="case override")
     sp.add_argument("--radial", help="scaled case radial law, e.g. '1.4142135623730951:0.5,0:0.5'")
     sp.add_argument("--chains", type=int, help="number of chains (default 200)")
     sp.add_argument("--steps", type=int, help="steps per chain (default 5000)")
@@ -294,6 +297,8 @@ def _sampler_config(args) -> SamplerConfig:
     for key in ("rho", "q", "b"):
         if key in cfg and type(cfg[key]) not in (int, float):  # a bool is no number either
             raise _UsageError(f"{key} must be a number, got {cfg[key]!r}")
+    if "case" in cfg and cfg["case"] not in _CASES:
+        raise _UsageError(f"case must be one of {', '.join(_CASES)}, got {cfg['case']!r}")
     cfg["rho"] = float(cfg["rho"])
     radial = cfg.get("radial")
     if isinstance(radial, str):

@@ -352,11 +352,179 @@ def write_csv(e: Ensemble, sink) -> None:
     _write_rows(sink, range(e.n_chains), e.values)
 
 
+# rows of one chain that _write_rows lays out at most at once
+_WRITE_ROWS = 2 ** 12
+
+
 def _write_rows(fh: io.TextIOBase, ids: range, values: np.ndarray) -> None:
-    # one %-format per chain: "" + cid + ",0,%.17g\n" + cid + ",1,%.17g\n" + ...
-    rows = [""] + [f",{t},%.17g\n" for t in range(values.shape[1])]
+    """Write the rows ``cid,t,x`` of the chains ids (the rows of values), each x
+    the bytes of ``'%.17g' % x`` (_number_words).
+
+    A chain is laid out in blocks of equal size, at most _WRITE_ROWS rows each,
+    a block in a matrix of little-endian words, one row of words per CSV row: the
+    newline that ends the row before, the chain id and a comma, then,
+    right-aligned, the step and a comma, then three words of the number.  NUL
+    pads each field; the text holds none, so the rows are the matrix's nonzero
+    bytes less the first newline, and then one.
+    """
+    n_steps = values.shape[1]
+    # words of the row's head: newline, chain id, comma, step, comma
+    head = -(-(len(str(max(ids, default=0))) + len(str(n_steps - 1)) + 3) // 8)
+    n_blocks = -(-n_steps // _WRITE_ROWS)
+    edges = [n_steps * i // max(n_blocks, 1) for i in range(n_blocks + 1)]
+    steps = []  # per block of rows: its first step, and head columns of words "t,"
+    for t0, t1 in zip(edges, edges[1:]):
+        text = "".join(f"{t:>{8 * head - 1}}," for t in range(t0, t1))
+        steps.append((t0, np.frombuffer(text.replace(" ", "\0").encode(), "<u8")
+                       .reshape(-1, head).T.copy()))
     for cid, row in zip(ids, values):
-        fh.write(str(cid).join(rows) % tuple(row.tolist()))
+        chain = np.frombuffer(f"\n{cid},".encode().ljust(8 * head, b"\0"), "<u8")
+        for t0, cols in steps:
+            fh.write(_row_text(chain, cols, row[t0:t0 + cols.shape[1]]))
+
+
+def _row_text(chain: np.ndarray, cols: np.ndarray, x: np.ndarray) -> str:
+    """The rows of the values x of one chain, each ending in a newline: the words
+    chain (newline, chain id, comma) and the columns of words cols (step, comma)
+    in front of each number, and the first newline dropped."""
+    number = _number_words(x)
+    words = np.empty((len(x), len(cols) + 3), "<u8")
+    for j, col in enumerate(cols):
+        np.bitwise_or(col, chain[j], out=words[:, j])
+    words[:, len(cols):] = number.T
+    text = words.view(np.uint8)
+    text = text[text != 0]
+    return str(text[1:], "ascii") + "\n"
+
+
+_ALL_ONES = np.uint64(2 ** 64 - 1)
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+# 5**k for k = 16 - e, e = -4 .. 15; each is below 2**47
+_POW5 = np.array([5 ** (16 - e) for e in range(-4, 16)], np.uint64)
+# what '%.17g' writes before the digits, by sign (0, 1) and decimal exponent e + 4:
+# "-" for a negative, "0." and -e - 1 zeros for e < 0; as little-endian words and lengths
+_LEADS = [("-" if sign else "") + ("0." + "0" * (-e - 1) if e < 0 else "")
+          for sign in (0, 1) for e in range(-4, 15)]
+_LEAD_WORDS = np.array([int.from_bytes(s.encode(), "little") for s in _LEADS], np.uint64)
+_LEAD_BITS = np.array([8 * len(s) for s in _LEADS], np.uint64)
+
+
+def _number_words(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each v in x as a column of three words, the 24 bytes of a
+    little-endian text with NUL after it; shape (3, len(x)).
+
+    For 1e-4 <= |v| < 1e15 '%.17g' writes v rounded half to even to 17 significant
+    digits d0..d16, in fixed notation with trailing zeros and then a trailing dot
+    stripped.  With v = m * 2**s (m < 2**53) and e the decimal exponent, those
+    digits are N = round(m * 5**k * 2**(s + k)), k = 16 - e, which _rounded computes
+    exactly; e starts from log10|v| and moves until 10**16 <= N < 10**17, so the
+    bytes depend on integer operations alone.  Every other value (zeros,
+    subnormals, infinities, NaN, and the two ends of the range) is formatted
+    by '%.17g' itself.
+    """
+    fast, e, w = _decimal(x)
+    dot = _strip_zeros(w, e)
+    _insert_dot(w, e, dot)
+    # then shift the digits past the lead and write it in front
+    lead = (x < 0) * 19 + e + 4
+    lead[~fast] = 0
+    shift = _LEAD_BITS[lead]
+    back = np.uint64(64) - shift
+    w[2] = (w[2] << shift) | (w[1] >> back)
+    w[1] = (w[1] << shift) | (w[0] >> back)
+    w[0] = (w[0] << shift) | _LEAD_WORDS[lead]
+    for i in np.flatnonzero(~fast):
+        w[:, i] = np.frombuffer(("%.17g" % x[i]).encode().ljust(24, b"\0"), "<u8")
+    return w
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which x are in the range 1e-4 <= |x| < 1e15, and for those the decimal
+    exponent e and the 17 digits of N = round(|x| * 10**(16 - e)), 10**16 <= N < 10**17,
+    as bytes 0..9 of three words, most significant first: d0..d7 | d8..d15 | d16."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a[~fast] = 1.0  # formatted by '%.17g'; 1.0 needs no correction step
+    e = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(e, -4, 15, out=e)
+    n = _rounded(a, e)
+    off = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
+    while off.size:  # the guess was one decade off, or rounding carried into the next
+        e[off] += np.where(n[off] < 10 ** 16, -1, 1)
+        n[off] = _rounded(a[off], e[off])
+        off = off[(n[off] < 10 ** 16) | (n[off] >= 10 ** 17)]
+    w = np.empty((3, len(x)), np.uint64)
+    w[0] = n // np.uint64(10 ** 9)
+    n -= w[0] * np.uint64(10 ** 9)
+    w[1] = n // np.uint64(10)
+    w[2] = n - w[1] * np.uint64(10)
+    w[:2] = _digit_words(w[:2])
+    return fast, e, w
+
+
+def _strip_zeros(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Turn the digits of w into ASCII and NUL the trailing zeros that '%.17g'
+    strips, those after both the last nonzero digit and the units digit d_e; give
+    the byte of the dot that follows d_e, '.' if a fraction digit is kept, else
+    NUL (and NUL at e < 0, where the lead holds the dot)."""
+    # the last nonzero digit: d16, else the top nonzero byte of d8..d15, else of d0..d7.
+    # A word's top nonzero byte is its float64 exponent // 8: the conversion rounds by
+    # IEEE 754, and bytes of at most 9 cannot round up into the next byte
+    top = (np.frexp(w[:2].astype(np.float64))[1] - 1) >> 3
+    last = np.where(w[2] > 0, 16, np.where(top[1] >= 0, top[1] + 8, top[0]))
+    keep = 8 * (np.maximum(last, e) + 1).astype(np.uint64)  # bits of the kept digits
+    w[0] = (w[0] | _ASCII_ZEROS) & ~(_ALL_ONES << keep)  # NumPy shifts by >= 64 to 0
+    w[1] = (w[1] | _ASCII_ZEROS) & ~(_ALL_ONES << np.maximum(keep, 64) - np.uint64(64))
+    w[2] = (w[2] | _ASCII_ZEROS) & ~(_ALL_ONES << np.maximum(keep, 128) - np.uint64(128))
+    return ((last > e) & (e >= 0)) * np.uint64(ord("."))
+
+
+def _insert_dot(w: np.ndarray, e: np.ndarray, dot: np.ndarray) -> None:
+    """Insert the byte dot into the text of w after the units digit d_e, before
+    d0 at e < 0; the bytes after it move up by one."""
+    at = 8 * np.maximum(e + 1, 0).astype(np.uint64)
+    up0 = w[0] & (_ALL_ONES << at)
+    up1 = w[1] & (_ALL_ONES << np.maximum(at, 64) - np.uint64(64))
+    w[2] = (w[2] << 8) | (up1 >> 56)
+    w[1] = (w[1] ^ up1) | (up1 << 8) | (up0 >> 56) | (dot << at - np.uint64(64))
+    w[0] = (w[0] ^ up0) | (up0 << 8) | (dot << at)
+
+
+def _rounded(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """round(a * 10**k), k = 16 - e, half to even, exactly, for normal a > 0 and
+    -4 <= e <= 15.  With a = m * 2**s (2**52 <= m < 2**53) that is
+    m * 5**k * 2**(s + k): the 128-bit product m * 5**k (5**k < 2**47) from 32-bit
+    halves, then one right shift by r = -(s + k), which must be 1..63."""
+    bits = a.view(np.uint64)
+    r = (e - (bits >> 52).view(np.int64) + 1059).astype(np.uint64)  # s = exponent - 1075
+    lo32 = np.uint64(2 ** 32 - 1)
+    m0, m1 = bits & lo32, ((bits >> 32) & np.uint64(2 ** 20 - 1)) | np.uint64(2 ** 20)
+    p0, p1 = _POW5[e + 4] & lo32, _POW5[e + 4] >> 32
+    lo = m0 * p0
+    mid = m1 * p0 + m0 * p1
+    hi = m1 * p1 + (mid >> 32)
+    mid <<= 32
+    lo += mid
+    hi += lo < mid
+    # add 2**(r - 1) - 1 and the bit that the shift makes the last: a tie then
+    # carries only into an odd result
+    bias = (np.uint64(1) << r - np.uint64(1)) - np.uint64(1) + ((lo >> r) & np.uint64(1))
+    lo += bias
+    hi += lo < bias
+    return (hi << np.uint64(64) - r) | (lo >> r)
+
+
+def _digit_words(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each v < 10**8 as the bytes of a little-endian word,
+    most significant first, each byte 0..9: v splits into 4-digit halves in 32-bit
+    lanes, those into 2-digit quarters in 16-bit lanes, those into digits in 8-bit
+    lanes, each division a multiply and shift exact in its lane's range."""
+    hi = v // np.uint64(10 ** 4)
+    x = hi | ((v - hi * np.uint64(10 ** 4)) << 32)
+    hi = ((x * np.uint64(10486)) >> 20) & np.uint64(0x0000007F0000007F)  # // 100
+    x = hi | ((x - hi * np.uint64(100)) << 16)
+    hi = ((x * np.uint64(103)) >> 10) & np.uint64(0x000F000F000F000F)  # // 10
+    return hi | ((x - hi * np.uint64(10)) << 8)
 
 
 def _usable_cpus() -> int:

@@ -349,6 +349,21 @@ class TestSampleVerify:
         assert err.startswith(f"usage error: {message}\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("case", ["foo", "Gaussian", None])
+    def test_sample_unknown_config_case_usage_error(self, capsys, tmp_path, case):
+        # argparse checks only the --case flag; the config key names the same four
+        cfg = {"rho": 0.5, "case": case, "n_chains": 2, "n_steps": 10}
+        if case != "Gaussian":
+            cfg["q"] = 0.5  # a q that would otherwise sample the q-Gaussian case
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "s.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_capture(capsys, ["sample", "--config", str(cfg_path),
+                                              "--out", str(out_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: case must be one of gaussian, qgaussian, "
+                              f"twopoint, scaled, got {case!r}\n")
+        assert not out_path.exists()
+
     def test_sample_open_lattice_exit_two(self, capsys, tmp_path):
         code, _, err = run_capture(
             capsys, ["sample", "--rho", "0.5", "--q", "4", "--chains", "2",

@@ -1,6 +1,8 @@
 import io
 import math
+import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,6 +316,84 @@ class TestCsvWriterBytes:
         assert path.read_bytes() == _written(e).encode()
         assert (tmp_path / "chains2.csv").read_bytes() == path.read_bytes()
 
+    # the writer against '%.17g' itself, at fixed seeds: whole files against the
+    # row-wise oracle, and the number column value by value
+
+    def test_random_bit_patterns_match_rowwise_oracle(self):
+        # every kind of float64: NaN payloads, infinities, subnormals, both zeros
+        bits = np.random.default_rng(2605).integers(0, 2 ** 64, (40, 5000), dtype=np.uint64)
+        e = Ensemble(values=bits.view(np.float64))
+        assert _written(e) == _rowwise_csv(e)
+
+    def test_near_powers_of_ten(self):
+        # the decimal exponent's first guess is off by one near 10**X, and the
+        # rounding to 17 digits carries into the next decade just below it
+        ulps = np.arange(-8, 9).astype(np.uint64)
+        powers = (10.0 ** np.arange(-5, 17)).view(np.uint64)
+        vals = (powers[:, None] + ulps).view(np.float64).ravel()
+        vals = np.concatenate([vals, -vals, np.nextafter(10.0 ** np.arange(-5, 17), 0.0)])
+        assert _numbers(vals) == ["%.17g" % v for v in vals]
+
+    def test_ties_round_half_to_even(self):
+        # 10**a + j / 2**b: short binary fractions on a decimal scale, where the
+        # 17-digit rounding meets exact ties
+        rng = np.random.default_rng(26)
+        a, b = rng.integers(-4, 15, 20000), rng.integers(1, 64, 20000)
+        vals = 10.0 ** a + rng.integers(1, 2 ** 12, 20000) / 2.0 ** b
+        exponents = [int(("%.16e" % v).split("e")[1]) for v in vals.tolist()]
+        ties = sum(1 for v, e in zip(vals.tolist(), exponents)
+                   if (Fraction(v) * 10 ** (16 - e)).denominator == 2)
+        assert ties >= 100  # the set holds ties, so half to even is tested
+        assert _numbers(vals) == ["%.17g" % v for v in vals]
+        assert _numbers(-vals) == ["%.17g" % v for v in -vals]
+
+    def test_ends_of_the_fast_range(self):
+        # |x| in [1e-4, 1e15) is formatted by integer arithmetic, the rest by '%.17g'
+        ends = np.array([1e-4, 1e15])
+        vals = np.concatenate([np.nextafter(ends, 0.0), ends, np.nextafter(ends, np.inf)])
+        vals = np.concatenate([vals, -vals])
+        assert _numbers(vals) == ["%.17g" % v for v in vals]
+
+    @pytest.mark.parametrize("a,e,shift", [
+        (np.nextafter(1e15, 0.0), 14, 1), (np.nextafter(1e15, 0.0), 15, 2), (2.0 ** 49, 14, 1),
+        (1e-4, -4, 46), (np.nextafter(1e-4, 1.0), -4, 46), (np.nextafter(2.0 ** -13, 0.0), -4, 46)])
+    def test_rounding_shift_at_both_ends(self, a, e, shift):
+        # the right shift of the 128-bit product by r = -(s + k) stays in 1..63 over
+        # every decimal exponent the correction visits: r = 1 and 2 at the top of the
+        # range, 46 at the bottom
+        exponent = math.frexp(a)[1]  # a = m * 2**(exponent - 53), 2**52 <= m < 2**53
+        assert -(exponent - 53 + 16 - e) == shift
+        got = simulate._rounded(np.array([a]), np.array([e]))
+        assert got.tolist() == [round(Fraction(a) * 10 ** (16 - e))]
+
+    def test_fallback_and_fast_values_mixed(self):
+        fallback = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+                    9.9999999999999991e-05, -1e-300, 1e15, -1.7976931348623157e308, 1e300]
+        fast = [1e-4, -0.1, 1.0, 123.456, -2.5, 99999999999999.98, 1.0 / 3.0, -4.0]
+        vals = np.array((fallback + fast) * 25)
+        np.random.default_rng(7).shuffle(vals)
+        e = Ensemble(values=vals.reshape(5, 100))
+        assert _written(e) == _rowwise_csv(e)
+
+    @pytest.mark.parametrize("first,n_steps", [(8, 12), (98, 101), (998, 1001), (9998, 10001)])
+    def test_ids_and_steps_cross_powers_of_ten(self, first, n_steps):
+        # the chain id and the step change width within a block; 10001 steps also
+        # take more than one block of rows (_WRITE_ROWS)
+        rng = np.random.default_rng(first)
+        values = rng.standard_normal((4, n_steps)) * 10.0 ** rng.integers(-3, 5, (4, n_steps))
+        ids = range(first, first + 4)
+        buf = io.StringIO()
+        simulate._write_rows(buf, ids, values)
+        assert buf.getvalue() == "".join(f"{cid},{t},{v:.17g}\n" for cid, row in zip(ids, values)
+                                         for t, v in enumerate(row))
+
+
+def _numbers(vals) -> list[str]:
+    """The x column that the writer writes for vals, as one chain."""
+    buf = io.StringIO()
+    simulate._write_rows(buf, range(1), np.asarray(vals, dtype=np.float64)[None, :])
+    return [line.rsplit(",", 1)[1] for line in buf.getvalue().splitlines()]
+
 
 def _loop_quantile(tables, y, u):
     """Oracle: the per-row, per-factor loop formulation of the stencil."""
@@ -483,6 +563,13 @@ class TestBoundedMemory:
         s = _sampler("qgaussian", q=0.5)
         simulate._sample_block(s, range(100), 2, 42)  # the marginal table of the first draw
         assert _traced_peak_mb(lambda: simulate._sample_block(s, range(100), 5000, 42)) < 5.0
+
+    def test_csv_writer_peak(self):
+        # one block of at most _WRITE_ROWS rows of one chain at a time: about 0.5 MB
+        block = simulate._sample_block(_sampler("qgaussian", q=0.5), range(100), 5000, 42)
+        with open(os.devnull, "w") as sink:
+            simulate._write_rows(sink, range(100), block)
+            assert _traced_peak_mb(lambda: simulate._write_rows(sink, range(100), block)) < 1.0
 
 
 class TestSamplerRefusals:
