@@ -50,6 +50,36 @@ KERNEL_CHECK_DIGESTS = {
     # stationarity residual past rho^2 = 1/2, at both signs of rho
     (0.99, 1.0): "c271407bb838f69fa00d48749297e125acbd7e2591afa31a9155efbc0001f85d",
     (-0.999, 1.0): "f6af75e737b8b60401491cf4cc083d6f3435decbe76f6326f8d38f2d4e036630",
+    # the other 28 points of kernel_scan that exit 0; with the four above and the
+    # four of KERNEL_CHECK_UNCONVERGED, all 36 of SCAN_RHOS x SCAN_QS
+    (-0.8, -0.5): "318bbab4438ac6c41772c047ae0923d2ecdb2c5eb06397116c489ad87ae4deb7",
+    (-0.8, 0.0): "55381fd695b12a59cb2a322dfcaf1c3ed5b682f472129da1c3bce920272658ef",
+    (-0.8, 0.5): "41ff99af9cab6c598f5088781ce3f80b99441c91d56ba2c8788de4ec264fdc78",
+    (-0.8, 0.9): "9efc325c5e5cb178bbea82e822bf5d76c8a2ffed9f95e891a1112659dddf9460",
+    (-0.3, -0.9): "a72ae16dd79db6c9cbecd0711253dc52130502281feeffd11ce1a9adf996ddaa",
+    (-0.3, -0.5): "ee31f4c78fcd54794fdb51d644a19ef0a8271cd96a0b3aba4aeb1ffcadac0331",
+    (-0.3, 0.0): "0b84195bc3388068d266bee0b2297d57f1884ea54c2e1fb00ad1a56f5fb582e6",
+    (-0.3, 0.5): "ec6ac3d637e82981b5ac4be1ef7c584b46ebfa8eadc74cf3c312c1ad27c82989",
+    (-0.3, 0.9): "06f4b3da0949b318b689ed25f7e583c8fb9ae97c67442dc4dccfbaf457011285",
+    (-0.3, 0.99): "d681933180a6d4d1236795cc61444f112ad98eab98bf283dfb4eceb2bbc4bdef",
+    (0.3, -0.9): "46b3dfc09854bf8969fff45141a48ca988653117730b3e505eabbb35f1314260",
+    (0.3, -0.5): "68b21c4f35f0b617fab34df66538fb6f4d006017ee11ca0c67638001401b60eb",
+    (0.3, 0.5): "fb79f0e375a1b788f85e42c8a9534535a1b54f27954abb246929139564e7c491",
+    (0.3, 0.9): "3440d888d58cf83100a02627c51d51d370932b41951c69114c81408466c0b7b2",
+    (0.3, 0.99): "b54c3f68e50ade03f4f9f9de298a0aa2882d3b1e7c7d03ed7c9258a523613daa",
+    (0.5, -0.9): "5dd96b6332d0063899ab9b72057fdc21859b9f64f897ea34b3b63ca1ac87913d",
+    (0.5, -0.5): "b78822dbb616f03cee0694f808e51c189fa1505349ac09758d4ecb110a3579e4",
+    (0.5, 0.0): "db69659adce8fd17408933aedde30ae658a0c1506ea379fbbd3202f41162275c",
+    (0.5, 0.9): "f7848a89cf340d6fd72d1a55b8bda60d60ea4c63e2c5b06dc7de854bd9e34789",
+    (0.8, -0.9): "a0ea55ca9a982508456622d61da5aa32ee8ebca36347a72968d95742c5660e80",
+    (0.8, -0.5): "de518c87fe25f1f3c5650bce3daf2e99fa32c9d269393b9835c401707dbfd8d2",
+    (0.8, 0.0): "7fee4b2357a19de8408f6cd99e19b2d502a5e0a73bda7e9cecff623d9784be77",
+    (0.8, 0.5): "310d180ffc6212501ea74f9a37a934a70000767461029203dc2bfb8129eba376",
+    (0.8, 0.9): "9a248b23fa7053726ada67cc2e15db3f768c028f61d858b27e00f5c2e6edea62",
+    (0.95, -0.9): "0fd79372d45f232d1e7763b825ec280196e543fb26338500fce1402d5795e577",
+    (0.95, -0.5): "58591f3419d2d78acc5ce0fb5727f4c63e0429d788f59a80a153f9d1bc3bc7be",
+    (0.95, 0.0): "d0a8e03e658ad49c69edc33b166c47b2fc541d19c5bee5a9f7754365a10e72dd",
+    (0.95, 0.5): "c6e915563a53e674e3f11a84559adbb753f07fa3c5cf919823210707dd1555c6",
 }
 
 # SHA-256 of the conditional quantile table bytes at the 30 kernel_scan points the
@@ -95,10 +125,13 @@ TABLE_REFUSAL = ("conditional tables at rho={rho:g}, q=0.99 have non-finite slop
 TABLE_REFUSAL_TAILS = {-0.8: "8.12e+71", -0.3: "4.76e+43", 0.3: "4.76e+43",
                        0.5: "1.75e+58", 0.8: "8.12e+71", 0.95: "2.31e+77"}
 
-# the first ladder that fails to converge, and so its error estimate, is part of the contract
+# the first ladder that fails to converge, and so its error estimate, is part of the
+# contract: kernel-check at q = 0.99 exits 2 with this on stderr, at these rho
 KERNEL_CHECK_UNCONVERGED_STDERR = (
-    "validation failure: theta quadrature did not converge at rho=0.5, q=0.99, N=64 "
-    "by 2048 nodes (achieved error estimate 1.649e-04)\n")
+    "validation failure: theta quadrature did not converge at rho={rho:g}, q=0.99, N=64 "
+    "by 2048 nodes (achieved error estimate {estimate})\n")
+KERNEL_CHECK_UNCONVERGED = {-0.8: "2.644e+09", 0.5: "1.649e-04", 0.8: "2.791e+09",
+                            0.95: "1.819e+14"}
 
 CLASSIFY_DIGESTS = {
     "gaussian": "a0c63e752fa16bc2903ccd37ff16e64670297976728ff0350ce0940d5942daae",
@@ -188,18 +221,23 @@ def test_conditional_table_refusal_text(rho):
     assert str(err.value) == TABLE_REFUSAL.format(rho=rho, tail=TABLE_REFUSAL_TAILS[rho])
 
 
+def _kernel_check(rho, q) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(["kernel-check", "--rho", repr(rho), "--q", repr(q), "--json"])
+    return rc, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("rho,q", list(KERNEL_CHECK_DIGESTS))
 def test_kernel_check_json_bytes(rho, q):
-    rc, text = _cli_stdout(["kernel-check", "--rho", repr(rho), "--q", repr(q), "--json"])
-    assert rc == 0
-    assert _sha(text) == KERNEL_CHECK_DIGESTS[(rho, q)]
+    rc, text, err = _kernel_check(rho, q)
+    assert (rc, _sha(text), err) == (0, KERNEL_CHECK_DIGESTS[(rho, q)], "")
 
 
 def test_kernel_check_unconverged_stderr():
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = run(["kernel-check", "--rho", "0.5", "--q", "0.99", "--json"])
-    assert (rc, out.getvalue(), err.getvalue()) == (2, "", KERNEL_CHECK_UNCONVERGED_STDERR)
+    for rho, estimate in KERNEL_CHECK_UNCONVERGED.items():
+        want = KERNEL_CHECK_UNCONVERGED_STDERR.format(rho=rho, estimate=estimate)
+        assert _kernel_check(rho, 0.99) == (2, "", want)
 
 
 @pytest.mark.parametrize("case", list(CLASSIFY_DIGESTS))
