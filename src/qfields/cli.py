@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
 _CASES = ("gaussian", "qgaussian", "twopoint", "scaled")
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="qfields",
                 description="Stationary random fields with linear regressions and "
@@ -239,8 +241,7 @@ def _cmd_kernel_check(args) -> int:
     # np.max, unlike max, propagates a NaN residual into the verdict.  The ladders run
     # eigen by degree then by y, then stationarity, then composition at the pairs
     # (x, ys[1]), (x, ys[3]) for each x; the first that fails to converge sets the error
-    eigen = float(np.max([kernel_mod.eigen_residual(kern, n, ys)
-                          for n in range(_KERNEL_CHECK_NMAX + 1)]))
+    eigen = float(np.max(kernel_mod.eigen_residual(kern, range(_KERNEL_CHECK_NMAX + 1), ys)))
     stat = float(np.max(kernel_mod.stationarity_residual(kern, xs)))
     ck = float(np.max(kernel_mod.chapman_kolmogorov_residual(
         kern, np.repeat(xs, 2), [ys[1], ys[3]] * len(xs))))

@@ -5,7 +5,7 @@ The compact continuous case uses the eigen-expansion kernel
 conditional expectation maps Q_n to rho^n Q_n, which the residual operations
 certify by a trapezoid ladder in theta that raises when it does not converge
 (at a point or a sequence of points, with one q-Hermite table per call and one
-ladder per point);
+ladder per point, and the eigen residual at a degree or a sequence of degrees);
 the Gaussian endpoint uses the closed-form AR(1) kernel, the discrete cases
 keep the sign with probability (1 + rho)/2 (optionally with a chain-constant
 radius).
@@ -241,27 +241,43 @@ def _per_point(x, out: np.ndarray):
     return out if np.ndim(x) else float(out[0])
 
 
-def eigen_residual(k: TransitionKernel, n: int, y):
+def eigen_residual(k: TransitionKernel, n, y):
     """|integral Q_n(x) f(x|y) dx - rho^n Q_n(y)| for the kernel's q, at a point y
-    (a float) or at each of a sequence of points (an array); each point runs its
-    own quadrature, in order."""
-    if not 0 <= n <= _EIGEN_DEGREE_MAX:
-        raise ValueError(f"degree n must be in [0, {_EIGEN_DEGREE_MAX}]")
+    (a float) or at each of a sequence of points (an array), for a degree n or for
+    each of a sequence of degrees (a leading axis, equal bit for bit to the stacked
+    calls at one degree).  Each degree and point runs its own quadrature, degree by
+    degree and in each point by point, so the first that fails to converge raises."""
+    degrees = np.atleast_1d(n).tolist()
+    if not degrees or not all(0 <= d <= _EIGEN_DEGREE_MAX for d in degrees):
+        raise ValueError(f"degree n must be in [0, {_EIGEN_DEGREE_MAX}], or a nonempty "
+                         "sequence of such degrees")
     ys = _points(y)
     if isinstance(k, MehlerQ):
         n1 = k.truncation + 1
         coeffs = _mehler_coeffs(k)
-        qy = qpoly.qhermite_table(ys, k.q, max(k.truncation, n))
-        vals = []
-        for j in range(ys.size):
-            ky = coeffs * qy[:n1, j]
-            vals.append(_ladder(k, lambda x, wq, tab: tab[n:n + 1] @ (wq * (ky @ tab[:n1])))[0])
+        qy = qpoly.qhermite_table(ys, k.q, max([k.truncation, *degrees]))
+        kys = [coeffs * qy[:n1, j] for j in range(ys.size)]
+        dens = {}  # (point, rung size) -> wq * (ky @ tab[:n1]), which every degree reads
+
+        def rung(d, j):
+            def at(x, wq, tab):
+                if (j, x.size) not in dens:
+                    dens[j, x.size] = wq * (kys[j] @ tab[:n1])
+                return tab[d:d + 1] @ dens[j, x.size]
+            return at
+
+        vals = np.array([[_ladder(k, rung(d, j))[0] for j in range(ys.size)] for d in degrees])
     else:
-        deg = max(n, 1)
+        deg = max([1, *degrees])
         qy = qpoly.qhermite_table(ys, k.eigen_q, deg)
-        vals = [k.expect(yj, lambda x: qpoly.qhermite_table(x, k.eigen_q, deg)[n:n + 1])[0]
-                for yj in ys]
-    return _per_point(y, np.abs(np.array(vals, dtype=float) - k.rho ** n * qy[n]))
+        vals = np.array([k.expect(yj, lambda x: qpoly.qhermite_table(x, k.eigen_q, deg)[degrees])
+                         for yj in ys]).T
+    # rho^n as a Python float power per degree: np.power over the degrees can round
+    # differently on some CPUs
+    out = np.abs(vals - np.array([k.rho ** d for d in degrees])[:, None] * qy[degrees])
+    if not np.ndim(n):
+        return _per_point(y, out[0])
+    return out if np.ndim(y) else out[:, 0]
 
 
 def conditional_moment_residual(k: TransitionKernel, p: FieldParams, y: float) -> dict:

@@ -105,7 +105,17 @@ _WEAK_TESTS = [test for (i, j) in _MONOMIALS for test in (
     (f"weak_quad_x{i}y{j}", f"E[(x_t^2 - Q(x_(t-1),x_(t+1))) x_(t-1)^{i} x_(t+1)^{j}]"))]
 
 
-def _weak_stats(vb: np.ndarray, p: FieldParams) -> list[np.ndarray]:
+_SYM_TESTS = [("sym_mean", "E[x]"), ("sym_third", "E[x^3]")]
+
+
+def _times(a, b):
+    """a * b, where None stands for a power x^0 = 1, which multiplies nothing."""
+    return b if a is None else a if b is None else a * b
+
+
+def _weak_sym_stats(vb: np.ndarray, p: FieldParams) -> list[np.ndarray]:
+    """The weak-form columns of a block, then the two symmetry columns, which read
+    the weak form's x^3."""
     if vb.shape[1] < 3:
         raise ValueError("need at least 3 steps for interior triples")
     a = p.rho / (1.0 + p.rho * p.rho)
@@ -113,13 +123,16 @@ def _weak_stats(vb: np.ndarray, p: FieldParams) -> list[np.ndarray]:
     lin = xm - a * (xp + xn)
     quad = xm * xm - (p.A * (xp * xp + xn * xn) + p.B * xp * xn
                       + p.D * (xp + xn) + p.C)
-    # each power once per block; x_(t-1)^i and x_(t+1)^j are its two slices
-    pw = [vb ** i for i in range(_DEGREE + 1)]
+    # each power once per block; x_(t-1)^i and x_(t+1)^j are its two slices, and
+    # x^0 = 1 has none
+    pw = {i: vb ** i for i in range(1, _DEGREE + 1)}
+    xs = {i: w[:, :-2] for i, w in pw.items()}
+    ys = {j: w[:, 2:] for j, w in pw.items()}
     cols = []
     for (i, j) in _MONOMIALS:
-        g = pw[i][:, :-2] * pw[j][:, 2:]
-        cols += [(lin * g).mean(axis=1), (quad * g).mean(axis=1)]
-    return cols
+        g = _times(xs.get(i), ys.get(j))
+        cols += [_times(lin, g).mean(axis=1), _times(quad, g).mean(axis=1)]
+    return cols + [vb.mean(axis=1), pw[3].mean(axis=1)]
 
 
 def weak_form_residuals(e: Ensemble, p: FieldParams) -> list[TestEntry]:
@@ -131,7 +144,8 @@ def weak_form_residuals(e: Ensemble, p: FieldParams) -> list[TestEntry]:
     functions up to degree 4 are a practical, not a complete, separating
     class.
     """
-    return _gates(_WEAK_TESTS, _by_rows(e.values, partial(_weak_stats, p=p)))
+    cols = _by_rows(e.values, partial(_weak_sym_stats, p=p))
+    return _gates(_WEAK_TESTS, cols[:len(_WEAK_TESTS)])
 
 
 def _mart_tests(n_max: int) -> list[tuple[str, str]]:
@@ -145,7 +159,8 @@ def _mart_stats(vb: np.ndarray, rho: float, q: float, n_max: int) -> list[np.nda
     cols = []
     for n in range(1, n_max + 1):
         resid = tabs[n][:, 1:] - rho ** n * tabs[n][:, :-1]
-        cols += [(resid * tabs[m][:, :-1]).mean(axis=1) for m in range(_M_MAX + 1)]
+        cols += [resid.mean(axis=1)]  # Q_0 = 1
+        cols += [(resid * tabs[m][:, :-1]).mean(axis=1) for m in range(1, _M_MAX + 1)]
     return cols
 
 
@@ -156,19 +171,11 @@ def martingale_residuals(e: Ensemble, rho: float, q: float) -> list[TestEntry]:
                   _by_rows(e.values, partial(_mart_stats, rho=rho, q=q, n_max=_N_MAX)))
 
 
-_SYM_TESTS = [("sym_mean", "E[x]"), ("sym_third", "E[x^3]")]
-
-
-def _sym_stats(vb: np.ndarray) -> list[np.ndarray]:
-    return [vb.mean(axis=1), (vb ** 3).mean(axis=1)]
-
-
 def _battery(p: FieldParams, c: Classification) -> tuple[list[tuple[str, str]], Callable]:
     """standard_suite's (test id, statistic) pairs in report order, and the function
     of a block of whole chains that gives their per-chain columns in that order."""
     sections = [(_CORR_TESTS, partial(_corr_stats, rho=p.rho)),
-                (_WEAK_TESTS, partial(_weak_stats, p=p)),
-                (_SYM_TESTS, _sym_stats)]
+                (_WEAK_TESTS + _SYM_TESTS, partial(_weak_sym_stats, p=p))]
     if c.eigen_q is not None:
         n_max = c.martingale_n_max or _N_MAX
         sections.append((_mart_tests(n_max),

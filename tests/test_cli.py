@@ -2,9 +2,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfields
 from qfields import cli, kernel, simulate
 from qfields.cli import run
 
@@ -489,6 +493,37 @@ class TestUsageErrors:
         assert out == ""
         assert "usage error" in err and flag in err
         assert not report.exists()
+
+
+class TestParserOnce:
+    """run builds its parser once per process, and a parse leaves it as it was."""
+
+    def test_one_build_across_runs(self, capsys, monkeypatch):
+        calls = []
+        add = cli._Parser.add_argument
+        monkeypatch.setattr(cli._Parser, "add_argument",
+                            lambda self, *a, **kw: calls.append(a) or add(self, *a, **kw))
+        cli._build_parser.cache_clear()
+        for argv in (["classify", *GAUSS_ARGS], ["classify", "--rho", "0.5"], ["frobnicate"],
+                     ["derive", "--rho", "0.5", "--q", "0.5"],
+                     ["kernel-check", "--rho", "0.5", "--q", "1", "--json"]):
+            run_capture(capsys, argv)
+        assert len(calls) == 57
+
+    def test_usage_error_then_run_equals_fresh_processes(self, capsys):
+        # a mutually exclusive conflict and a missing flag fail mid-parse; the runs after
+        # them print what two fresh processes print
+        src = str(Path(qfields.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        argvs = [["derive", "--rho", "0.5", "--q", "0.5", "--B", "0.32"],
+                 ["derive", "--rho", "0.5", "--q", "0.5", "--json"],
+                 ["kernel-check", "--rho", "0.5"],
+                 ["kernel-check", "--rho", "0.5", "--q", "0.5"]]
+        for argv in argvs:
+            fresh = subprocess.run([sys.executable, "-m", "qfields.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=300)
+            assert run_capture(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestDeterministicOutputs:

@@ -329,6 +329,47 @@ class TestResidualSequences:
             eigen_residual(k, 0, ys[3])
         assert seq.value.estimate == one.value.estimate != last.value.estimate
 
+    @pytest.mark.parametrize("rho,q", [(0.95, 0.5), (-0.95, 0.9), (0.5, -0.9), (-0.8, -0.9),
+                                       (0.01, 0.5), (0.5, 1.0), (-0.95, 1.0)])
+    def test_degree_sequence_equals_stacked_calls(self, rho, q):
+        k = GaussianAR1(rho) if q == 1.0 else mehler_kernel(rho, q)
+        ys = self._points(k)
+        for degrees in (range(kernel._EIGEN_DEGREE_MAX + 1), [8, 0, 3, 3]):
+            for y in (ys, ys[1]):
+                got = eigen_residual(k, degrees, y)
+                want = np.stack([eigen_residual(k, n, y) for n in degrees])
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_degree_sequence_on_a_sign_chain(self):
+        k = TwoPointChain(-0.3)
+        got = eigen_residual(k, range(5), [1.0, -1.0])
+        assert got.tobytes() == np.stack([eigen_residual(k, n, [1.0, -1.0])
+                                          for n in range(5)]).tobytes()
+
+    def test_degree_sequence_raises_the_first_error(self):
+        # at (0.5, 0.99) the ladders fail at -0.8 S for degrees 0..6 and at 0.8 S for 0..7:
+        # degrees [7, 0] fail first at (7, 0.8 S), by degree and then by point
+        from qfields.quadrature import QuadratureError
+        k = mehler_kernel(0.5, 0.99)
+        s = measure.support(k.law)[1]
+        for degrees, ys in ((range(9), self._points(k)), ([7, 0], [-0.8 * s, 0.8 * s])):
+            with pytest.raises(QuadratureError) as seq:
+                eigen_residual(k, degrees, ys)
+            first = None
+            for n in degrees:
+                try:
+                    eigen_residual(k, n, ys)
+                except QuadratureError as exc:
+                    first = exc
+                    break
+            assert (str(seq.value), seq.value.estimate) == (str(first), first.estimate)
+
+    def test_degrees_validated(self):
+        k = mehler_kernel(0.5, 0.5)
+        for degrees in ([], [0, 13], [-1]):
+            with pytest.raises(ValueError, match="degree"):
+                eigen_residual(k, degrees, 0.0)
+
     def test_points_must_pair_up(self):
         k = mehler_kernel(0.5, 0.5)
         with pytest.raises(ValueError, match="one length"):
