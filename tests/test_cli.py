@@ -511,8 +511,8 @@ class TestParserOnce:
         assert len(calls) == 57
 
     def test_usage_error_then_run_equals_fresh_processes(self, capsys):
-        # a mutually exclusive conflict and a missing flag fail mid-parse; the runs after
-        # them print what two fresh processes print
+        # a mutually exclusive conflict and a missing flag fail mid-parse; every run,
+        # those after them included, prints what a fresh process prints
         src = str(Path(qfields.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
