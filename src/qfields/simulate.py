@@ -370,12 +370,10 @@ def _write_rows(fh: io.TextIOBase, ids: range, values: np.ndarray) -> None:
     n_steps = values.shape[1]
     # words of the row's head: newline, chain id, comma, step, comma
     head = -(-(len(str(max(ids, default=0))) + len(str(n_steps - 1)) + 3) // 8)
-    n_blocks = -(-n_steps // _WRITE_ROWS)
-    edges = [n_steps * i // max(n_blocks, 1) for i in range(n_blocks + 1)]
     steps = []  # per block of rows: its first step, and head columns of words "t,"
-    for t0, t1 in zip(edges, edges[1:]):
-        text = "".join(f"{t:>{8 * head - 1}}," for t in range(t0, t1))
-        steps.append((t0, np.frombuffer(text.replace(" ", "\0").encode(), "<u8")
+    for block in _split(n_steps, -(-n_steps // _WRITE_ROWS)):
+        text = "".join(f"{t:>{8 * head - 1}}," for t in block)
+        steps.append((block.start, np.frombuffer(text.replace(" ", "\0").encode(), "<u8")
                        .reshape(-1, head).T.copy()))
     for cid, row in zip(ids, values):
         chain = np.frombuffer(f"\n{cid},".encode().ljust(8 * head, b"\0"), "<u8")
@@ -527,6 +525,13 @@ def _digit_words(v: np.ndarray) -> np.ndarray:
     return hi | ((x - hi * np.uint64(10)) << 8)
 
 
+def _split(n: int, n_blocks: int) -> list[range]:
+    """range(n) in min(n_blocks, n) contiguous blocks, block i from n * i // n_blocks:
+    the chains of sample_csv and of a read CSV's plan, the rows of _write_rows."""
+    n_blocks = min(n_blocks, n)
+    return [range(n * i // n_blocks, n * (i + 1) // n_blocks) for i in range(n_blocks)]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -604,9 +609,7 @@ def sample_csv(s: ChainSampler, n_chains: int, n_steps: int, master_seed: int,
     every process is reaped and a partial regular file at path is removed.
     """
     _check_counts(n_chains, n_steps, master_seed)
-    n_blocks = min(n_chains, _fork_count())
-    edges = [n_chains * i // n_blocks for i in range(n_blocks + 1)]
-    blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    blocks = _split(n_chains, _fork_count())
     tmp_dir = Path(path).parent if os.access(Path(path).parent, os.W_OK) else None
     jobs = [(f"sampling chains {ids.start}..{ids.stop - 1}",
              partial(_write_block, s, ids, n_steps, master_seed)) for ids in blocks[1:]]
@@ -636,26 +639,11 @@ def read_csv(source) -> Ensemble:
     Rows must come in (chain, t) order: chain ids 0..k-1, and within each
     chain t = 0..n-1.  A path to a regular file is parsed by NumPy's chunked
     reader, which it uses for a path only; anything else (a pipe, a device, an
-    open text stream) is parsed through its line iterator.
+    open text stream) is parsed through its line iterator, as one block.
     """
     (values,), _, _ = _read_blocks(source, lambda v: v, 1)
     values.setflags(write=False)
     return Ensemble(values=values)
-
-
-@dataclass(frozen=True, eq=False)
-class _Block:
-    """What one block of CSV rows tells the reader: the ``np.unique`` ids and counts
-    of its chain column and whether its rows run t = 0..n-1 within each chain,
-    chains in id order (``ordered``); ``fn`` of its (chains, steps) values where
-    they do; or the ValueError its rows (``read_error``) or ``fn`` raised."""
-
-    ids: np.ndarray | None = None
-    counts: np.ndarray | None = None
-    ordered: bool = False
-    out: object = None
-    read_error: ValueError | None = None
-    fn_error: ValueError | None = None
 
 
 def _read_blocks(source, fn: Callable[[np.ndarray], object],
@@ -664,39 +652,18 @@ def _read_blocks(source, fn: Callable[[np.ndarray], object],
     block order, and the file's (n_chains, n_steps); every check and error of the
     file is that of reading it as one block.
 
-    A regular file at a path splits into at most n_blocks blocks (see
-    _chain_bounds); block 0 is read here, every other one in a forked process that
-    sends back only its _Block.  The checks run in read_csv's order on the merged
-    facts: a block whose rows do not parse as 3 columns has the whole file read
-    again here, so the error names the row in the file; then the chain ids, the
-    chain lengths and the row order; then the errors ``fn`` raised.
+    A regular file at a path is read in at most n_blocks blocks if its plan fits
+    it (_read_planned); otherwise, and anything else always, as one block
+    (_read_whole), which gives every check and error in read_csv's order.
     """
     if not isinstance(source, (str, Path)):
         _check_header(source)
-        src, bounds = source, [(0, None)]
-    elif not os.path.isfile(source):  # a pipe or a device: read once, as a stream
-        with open(source, "r", newline="") as fh:
+        return _read_whole(source, fn, 0)
+    with open(source, "r", newline="") as fh:
+        if not os.path.isfile(source):  # a pipe or a device: read once, as a stream
             return _read_blocks(fh, fn, 1)
-    else:
-        with open(source, "r", newline="") as fh:
-            _check_header(fh)
-        src = os.fspath(source)
-        bounds = _chain_bounds(src, n_blocks)
-    jobs = [(f"reading the chains from line {skip + 1}",
-             partial(_pickled_block, src, skip, rows, fn)) for skip, rows in bounds[1:]]
-    with _forked(jobs) as done:
-        blocks = [_read_block(src, *bounds[0], fn)]
-        blocks += [pickle.load(tmp) for tmp in done]
-    bad = [b.read_error for b in blocks if b.read_error is not None]
-    if bad:
-        if len(blocks) > 1:  # raise the error of the file's first bad row
-            _load_rows(src, bounds[0][0], None)
-        raise bad[0]
-    n_chains, n_steps = _check_chains(blocks)
-    for b in blocks:
-        if b.fn_error is not None:
-            raise b.fn_error
-    return [b.out for b in blocks], n_chains, n_steps
+        _check_header(fh)
+    return _read_planned(source, fn, n_blocks) or _read_whole(source, fn, 1)
 
 
 def _check_header(fh: io.TextIOBase) -> None:
@@ -704,90 +671,19 @@ def _check_header(fh: io.TextIOBase) -> None:
         raise ValueError("expected header 'chain,t,x'")
 
 
-def _chain_bounds(path: str, n_blocks: int) -> list[tuple[int, int | None]]:
-    """Split the data lines of the CSV at path into at most n_blocks ranges of whole
-    chains, each ``(skiprows, max_rows)`` for np.loadtxt(path); the last one runs to
-    the end of the file.
-
-    The file is scanned as text with universal newlines, as np.loadtxt(path) reads
-    it, one character per byte (ASCII, each other byte a lone surrogate); a byte
-    that does not decode is left to the parse of its block to report.  A block
-    starts at the first line past each n_blocks-th of the file's size whose chain
-    field differs numerically from the line before ("1" and "1.0" are one chain).
-    skiprows counts blank lines, max_rows does not.
-    """
-    targets = [os.path.getsize(path) * i // n_blocks for i in range(1, n_blocks)]
-    starts = [(1, 0)]  # (lines, rows) before the first line of each block
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        lines, rows, pos, prev = 1, 0, len(fh.readline()), None
-        for target in targets:
-            whole = True  # the next character read starts a line
-            while pos < target and (piece := fh.read(min(target - pos, _SCAN_BYTES))):
-                pos += len(piece)
-                ends, blank = _line_ends(piece, whole)
-                lines, rows = lines + ends, rows + ends - blank
-                whole, prev = piece.endswith("\n"), None
-            while line := fh.readline():  # to the first line of a new chain
-                pos += len(line)
-                cid = _chain_id(line) if whole else None
-                new = prev is not None and cid is not None and cid != prev
-                if new:
-                    starts.append((lines, rows))
-                lines += 1
-                if line != "\n" or not whole:
-                    rows += 1
-                    prev = cid
-                whole = True
-                if new:
-                    break
-            else:
-                break  # end of file
-    return [(skip, b - a) for (skip, a), (_, b) in zip(starts, starts[1:])] + \
-        [(starts[-1][0], None)]
-
-
-# characters (bytes, with each \r\n and lone \r read as \n) per read of the file in
-# the block split's scan
-_SCAN_BYTES = 2 ** 18
-
-
-def _line_ends(piece: str, whole: bool) -> tuple[int, int]:
-    """The line ends in piece, and how many of them end an empty line: those right
-    after another, and the first character if whole (piece starts a line)."""
-    ends = np.frombuffer(piece.encode("ascii", "surrogateescape"), np.uint8) == ord("\n")
-    blank = np.count_nonzero(ends[1:] & ends[:-1]) + int(whole and ends[0])
-    return int(np.count_nonzero(ends)), int(blank)
-
-
-def _chain_id(line: str) -> float | None:
-    try:
-        return float(line.partition(",")[0])
-    except ValueError:
-        return None
-
-
-def _pickled_block(src: str, skip: int, rows: int | None, fn, tmp: io.TextIOBase) -> None:
-    pickle.dump(_read_block(src, skip, rows, fn), tmp.buffer)
-
-
-def _read_block(src, skip: int, rows: int | None, fn) -> _Block:
-    """The _Block of the rows np.loadtxt reads from src after skip lines (at most
-    rows of them)."""
-    try:
-        chain, t, x = _load_rows(src, skip, rows).T
-    except ValueError as exc:
-        return _Block(read_error=exc)
-    ids, counts = np.unique(chain, return_counts=True)
-    n = int(counts[0])
-    if not (np.array_equal(chain, np.repeat(ids, n))
-            and np.array_equal(t, np.tile(np.arange(n), ids.size))):
-        return _Block(ids, counts)
-    values = np.ascontiguousarray(x).reshape(ids.size, n)
-    del chain, t, x  # the parsed rows; fn runs on the values alone
-    try:
-        return _Block(ids, counts, True, fn(values))
-    except ValueError as exc:
-        return _Block(ids, counts, True, fn_error=exc)
+def _read_whole(src, fn: Callable[[np.ndarray], object],
+                skip: int) -> tuple[list, int, int]:
+    """``([fn(values)], n_chains, n_steps)`` of the rows np.loadtxt reads from src
+    after skip lines, or the ValueError of the first check they fail."""
+    rows = _load_rows(src, skip, None)
+    ids, counts = np.unique(rows[:, 0], return_counts=True)
+    if not np.array_equal(ids, np.arange(ids.size)):
+        raise ValueError("chain ids must be contiguous from 0")
+    if np.any(counts != counts[0]):
+        raise ValueError("all chains must have equal length")
+    values = _chain_values(rows, range(ids.size), int(counts[0]))
+    del rows  # the parsed rows; fn runs on the values alone
+    return [fn(values)], *values.shape
 
 
 def _load_rows(src, skip: int, rows: int | None) -> np.ndarray:
@@ -802,18 +698,71 @@ def _load_rows(src, skip: int, rows: int | None) -> np.ndarray:
     return data
 
 
-def _check_chains(blocks: list[_Block]) -> tuple[int, int]:
-    """(n_chains, n_steps) of the blocks' rows taken together, or the ValueError of
-    the first check they fail."""
-    block_ids = np.concatenate([b.ids for b in blocks])
-    ids, where = np.unique(block_ids, return_inverse=True)
-    counts = np.zeros(ids.size, dtype=np.int64)
-    np.add.at(counts, where, np.concatenate([b.counts for b in blocks]))
-    if not np.array_equal(ids, np.arange(ids.size)):
-        raise ValueError("chain ids must be contiguous from 0")
-    if np.any(counts != counts[0]):
-        raise ValueError("all chains must have equal length")
-    # each block is ordered and the blocks hold increasing, disjoint ids
-    if not (all(b.ordered for b in blocks) and np.all(np.diff(block_ids) > 0)):
+def _chain_values(rows: np.ndarray, ids: range, n_steps: int) -> np.ndarray:
+    """The x column of rows (chain, t, x) as values of shape (len(ids), n_steps); a
+    ValueError unless the rows are exactly the chains ids in order, each
+    t = 0..n_steps-1 (their count checked before any array of that size is made)."""
+    chain, t, x = rows.T
+    if not (rows.shape[0] == len(ids) * n_steps
+            and np.array_equal(chain, np.repeat(ids, n_steps))
+            and np.array_equal(t, np.tile(np.arange(n_steps), len(ids)))):
         raise ValueError("rows must run t = 0..n-1 within each chain, chains in id order")
-    return ids.size, int(counts[0])
+    return np.ascontiguousarray(x).reshape(len(ids), n_steps)
+
+
+# bytes at the end of a CSV in which _read_planned looks for its last row
+_TAIL_BYTES = 2 ** 12
+
+
+def _read_planned(path, fn: Callable[[np.ndarray], object],
+                  n_blocks: int) -> tuple[list, int, int] | None:
+    """_read_blocks' result for the CSV at path read in the blocks of its plan, block
+    0 here and every other one in a forked process; None if there is no plan or
+    a block is refused (_planned_block).
+
+    The plan is a guess from the last non-blank row (chain, t): chains 0..chain,
+    each t = 0..t, split as sample_csv splits them; none if that is fewer than
+    two blocks, or more rows than the file has room for (a row takes at least 6
+    bytes).  The block of chains a..b-1 reads the rows after line 1 + a * n_steps
+    (the last one to the end of the file) and must hold exactly those chains,
+    each t = 0..n_steps-1.  A blank line inside a block moves the next block's
+    start back onto a row this block read, whose chain id is below the next
+    block's first; so accepted blocks hold every row, once, in order.
+    """
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(size - _TAIL_BYTES, 0))
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    try:
+        n_chains, n_steps = (int(float(f)) + 1 for f in lines[-1].split(b",")[:2])
+    except (IndexError, ValueError, OverflowError):  # no row, or not two finite numbers
+        return None
+    blocks = _split(n_chains, n_blocks)
+    if len(blocks) < 2 or not 0 < 6 * n_chains * n_steps <= size:
+        return None
+    reads = [partial(_planned_block, path, ids, n_steps, ids is blocks[-1], fn)
+             for ids in blocks]
+    jobs = [(f"reading the chains from line {2 + ids.start * n_steps}", partial(_pickled, read))
+            for ids, read in zip(blocks[1:], reads[1:])]
+    with _forked(jobs) as done:
+        outs = [reads[0]()] + [pickle.load(tmp) for tmp in done]
+    if any(out is None for out in outs):
+        return None
+    return outs, n_chains, n_steps
+
+
+def _pickled(read: Callable[[], object], tmp: io.TextIOBase) -> None:
+    pickle.dump(read(), tmp.buffer)
+
+
+def _planned_block(path, ids: range, n_steps: int, to_end: bool,
+                   fn: Callable[[np.ndarray], object]) -> object:
+    """``fn`` of the values of the chains ids, read from the rows of path after line
+    1 + ids.start * n_steps (len(ids) * n_steps of them, or all to the end of the
+    file if to_end); None if those rows do not parse, are not exactly the chains
+    ids, each t = 0..n_steps-1, or ``fn`` raises ValueError on them."""
+    skip, rows = 1 + ids.start * n_steps, None if to_end else len(ids) * n_steps
+    try:
+        return fn(_chain_values(_load_rows(path, skip, rows), ids, n_steps))
+    except ValueError:
+        return None

@@ -15,10 +15,10 @@ The per-chain statistics are computed on blocks of whole chains (about 2^15
 values per temporary), so the suite's memory is bounded by the block, not by
 the ensemble.  A chain is never split: each per-chain mean is NumPy's pairwise
 sum along one row, so the blocked statistics, and the report bytes, are
-exactly those of the unblocked formulas.  ``verify_csv`` splits a CSV the same
-way across processes: each parses and reduces its own block of whole chains,
-and the joined columns are gated once, so its report bytes do not depend on
-the CPU count.
+exactly those of the unblocked formulas.  ``verify_csv`` reads a CSV in blocks
+of whole chains planned from its last row, each parsed, checked and reduced in
+a process of its own, and gates the joined columns once, so its report bytes do
+not depend on the CPU count; a file the plan does not fit is read as one block.
 """
 
 from __future__ import annotations
@@ -204,10 +204,10 @@ def verify_csv(path, p: FieldParams,
     """``standard_suite(read_csv(path), p, c)`` and the CSV's (n_chains, n_steps),
     with the same entries, errors and error order at any CPU count.
 
-    A regular file splits into one block of whole chains per usable CPU, each
-    parsed and reduced to the battery's per-chain columns in a process of its own
-    (see simulate._read_blocks); the columns are joined in block order and gated
-    here.  Anything else, such as a pipe, is one block.
+    A regular file is read in blocks of whole chains planned from its last row,
+    one per usable CPU, each parsed, checked and reduced to the battery's columns
+    in a process of its own (see simulate._read_blocks), joined in block order and
+    gated here.  A file the plan does not fit, or a pipe, is read as one block.
     """
     tests, columns = _battery(p, c)
     blocks, n_chains, n_steps = simulate._read_blocks(path, columns, simulate._fork_count())

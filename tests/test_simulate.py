@@ -85,9 +85,8 @@ def _pchip():
 @pytest.mark.parametrize("make", [
     lambda: Ensemble(values=np.zeros((2, 3))),
     _pchip,
-    lambda: measure.CdfTable(x=np.array([0.0, 1.0, 2.0]), max_error=0.0, _quantile=_pchip()),
-    lambda: simulate._Block(ids=np.arange(2), counts=np.array([3, 3]))],
-    ids=["Ensemble", "Pchip", "CdfTable", "_Block"])
+    lambda: measure.CdfTable(x=np.array([0.0, 1.0, 2.0]), max_error=0.0, _quantile=_pchip())],
+    ids=["Ensemble", "Pchip", "CdfTable"])
 def test_array_holders_compare_and_hash_by_identity(make):
     # a field-wise == of arrays has no single truth value, and arrays do not hash
     a, b = make(), make()

@@ -1,12 +1,11 @@
-"""``verify_csv`` splits a CSV into one block of whole chains per usable CPU, parses
-and reduces each block in a process of its own, and gates the joined columns.  At
-any block count it gives the entries of ``standard_suite(read_csv(path))``, and
-for a malformed file the same ValueError, first error first, naming rows in the
-whole file."""
+"""``verify_csv`` plans blocks of whole chains from a CSV's last row, one per
+usable CPU, parses, checks and reduces each block in a process of its own, and
+gates the joined columns; a file the plan does not fit is read again as one
+block.  At any block count it gives the entries of
+``standard_suite(read_csv(path))``, and for a malformed file the same
+ValueError, naming rows in the whole file."""
 
-import bisect
 import io
-import itertools
 import os
 
 import pytest
@@ -14,7 +13,8 @@ import pytest
 from qfields import simulate, verify
 from qfields.cli import run
 from qfields.params import classify, params_from_rho_q
-from qfields.simulate import SamplerConfig, make_sampler, read_csv, sample_ensemble, write_csv
+from qfields.simulate import SamplerConfig, make_sampler, read_csv, sample_csv, \
+    sample_ensemble, write_csv
 
 P = params_from_rho_q(0.5, 1.0)
 C = classify(P)
@@ -51,6 +51,10 @@ def _crlf(rows):
     return [r.replace("\n", "\r\n") for r in rows]
 
 
+def _last_row(chain, t, rows):  # the last row, chain 5 at t = 59, rewritten
+    return rows[:-1] + [f"{chain},{t},{rows[-1].rsplit(',', 1)[1]}"]
+
+
 MALFORMED = {
     # the error cases of read_csv in tests/test_simulate.py
     "bad-header": "a,b,c\n0,0,1.0\n",
@@ -68,6 +72,15 @@ MALFORMED = {
     "columns-last-block": "".join(_four_columns_last_block(_rows())),
     "crlf-non-float-last-block": "".join(_crlf(_bad_x_last_block(_rows()))),
     "not-utf8-last-block": "".join(_rows()).replace("5,30,", "5,30,\udcff"),
+    # files whose last row plans blocks that the rows do not fill
+    "extra-row-in-chain-1": "".join(_rows()[:121] + ["1,60,0.5\n"] + _rows()[121:]),
+    "row-repeated-at-boundary": "".join(_rows()[:122] + _rows()[121:]),
+    "last-row-repeated": "".join(_rows() + _rows()[-1:]),
+    "ends-in-a-non-row": "".join(_rows()) + "end\n",
+    "last-row-claims-1e18-chains": "".join(_last_row(10 ** 18, 59, _rows())),
+    "last-row-claims-1e15-steps": "".join(_last_row(5, 10 ** 15 - 1, _rows())),
+    "last-chain-negative": "".join(_last_row(-5, 59, _rows())),
+    "last-chain-fractional": "".join(_last_row(5.5, 59, _rows())),
     # a file that reads, and a battery that refuses it
     "50-steps": "".join(_rows(n_steps=50)),
 }
@@ -97,7 +110,6 @@ def test_error_names_the_row_in_the_whole_file(tmp_path, monkeypatch):
     path = tmp_path / "chains.csv"
     path.write_text(MALFORMED["non-float-last-block"])
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
-    assert len(simulate._chain_bounds(str(path), 3)) == 3
     with pytest.raises(ValueError, match="could not convert string '1.5x' to float64 at row 330,"):
         verify.verify_csv(path, P, C)
 
@@ -119,6 +131,8 @@ def _mixed_endings(rows):  # \n, \r\n and \r by turns, and one blank line
 
 VALID = {
     "plain": _rows(),
+    "trailing-blank-lines": _rows() + ["\n", "\n"],
+    "blank-line-at-block-boundary": _rows()[:121] + ["\n"] + _rows()[121:],  # chain 2 of 3
     "one-and-one-point-zero": _one_and_one_point_zero(_rows()),
     "crlf": _crlf(_rows()),
     "blank-lines": _with_blank_lines(_rows()),
@@ -136,80 +150,39 @@ def test_blocks_of_whole_chains_give_the_serial_entries(name, tmp_path, monkeypa
     for cpus in (1, 2, 3, 7):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
         assert verify.verify_csv(path, P, C) == (expected, 6, 60)
-    bounds = simulate._chain_bounds(str(path), 3)
-    assert len(bounds) == 3
-    with open(path) as fh:  # universal newlines, as np.loadtxt reads a path
-        lines = fh.read().split("\n")
-    for skip, _ in bounds[1:]:  # each split starts a chain: t = 0
-        assert lines[skip].split(",")[1] == "0"
 
 
-def _chain_field(line: str) -> float | None:
-    try:
-        return float(line.partition(",")[0])
-    except ValueError:
-        return None
+def _counting_whole(monkeypatch) -> list:
+    """Count the calls to the one-block reader, which reads the file again."""
+    calls, whole = [], simulate._read_whole
+    monkeypatch.setattr(simulate, "_read_whole", lambda *a: calls.append(a) or whole(*a))
+    return calls
 
 
-def _text_mode_bounds(path, n_blocks: int) -> list[tuple[int, int | None]]:
-    """Oracle: the split as a scan in text mode makes it, each line ended by a
-    universal newline and each position counted in characters.  A block starts at
-    the first line, read from its start past the n-th of the file's bytes, whose
-    chain field differs from that of the last non-blank line read before it."""
-    with open(path, errors="surrogateescape") as fh:
-        lines = fh.readlines()
-    ends = list(itertools.accumulate(map(len, lines)))  # characters up to each line's end
-    size = os.path.getsize(path)
-    starts, nxt, prev = [(1, 0)], 1, None  # nxt: the next line read from its start
-    for target in (size * i // n_blocks for i in range(1, n_blocks)):
-        if ends[nxt - 1] < target:  # read on to target, then the rest of its line
-            nxt, prev = bisect.bisect_left(ends, target) + 1, None
-        for j in range(nxt, len(lines)):
-            cid = _chain_field(lines[j])
-            if prev is not None and cid is not None and cid != prev:
-                starts.append((j, sum(line != "\n" for line in lines[1:j])))
-                nxt, prev = j + 1, cid
-                break
-            if lines[j] != "\n":
-                prev = cid
-        else:
-            break
-    return [(skip, b - a) for (skip, a), (_, b) in zip(starts, starts[1:])] + \
-        [(starts[-1][0], None)]
-
-
-LAYOUTS = {**{name: "".join(rows) for name, rows in VALID.items()}, **MALFORMED}
-
-
-@pytest.mark.parametrize("name", list(LAYOUTS))
-def test_binary_split_matches_text_mode_scan(name, tmp_path):
-    # CRLF, CR, blank lines, "1" and "1.0", and an undecodable byte among them
+@pytest.mark.parametrize("cpus", [2, 3, 7])
+@pytest.mark.parametrize("name", ["sample", "crlf", "cr", "one-and-one-point-zero"])
+def test_plan_reads_the_blocks_without_a_reread(name, cpus, tmp_path, monkeypatch):
     path = tmp_path / "chains.csv"
-    path.write_bytes(LAYOUTS[name].encode(errors="surrogateescape"))
-    for n_blocks in (1, 2, 3, 7):
-        assert simulate._chain_bounds(str(path), n_blocks) == _text_mode_bounds(path, n_blocks)
+    if name == "sample":  # sample's own CSV, written in the blocks verify reads
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        sample_csv(make_sampler(C, SamplerConfig(rho=0.5)), 6, 60, 3, path)
+    else:
+        path.write_bytes("".join(VALID[name]).encode())
+    expected = verify.standard_suite(read_csv(path), P, C)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    calls = _counting_whole(monkeypatch)
+    assert verify.verify_csv(path, P, C) == (expected, 6, 60)
+    assert calls == []
 
 
-def test_binary_split_reads_a_cr_split_between_reads(tmp_path, monkeypatch):
-    # reads of one, two and five bytes split \r\n pairs between two reads
+def test_blank_line_in_block_0_reads_the_file_once_more(tmp_path, monkeypatch):
     path = tmp_path / "chains.csv"
-    path.write_bytes(LAYOUTS["crlf-blank-lines"].encode())
-    want = [_text_mode_bounds(path, n) for n in (2, 3, 7)]
-    for size in (1, 2, 5):
-        monkeypatch.setattr(simulate, "_SCAN_BYTES", size)
-        assert [simulate._chain_bounds(str(path), n) for n in (2, 3, 7)] == want
-
-
-@pytest.mark.parametrize("name", list(LAYOUTS))
-def test_split_across_short_reads_matches_text_mode_scan(name, tmp_path, monkeypatch):
-    # reads of one, two and five characters put lone CRs, CRLF pairs, blank lines and
-    # the undecodable byte across the boundaries between reads
-    path = tmp_path / "chains.csv"
-    path.write_bytes(LAYOUTS[name].encode(errors="surrogateescape"))
-    want = [_text_mode_bounds(path, n) for n in (2, 3, 7)]
-    for size in (1, 2, 5):
-        monkeypatch.setattr(simulate, "_SCAN_BYTES", size)
-        assert [simulate._chain_bounds(str(path), n) for n in (2, 3, 7)] == want
+    path.write_text("".join(_rows()[:30] + ["\n"] + _rows()[30:]))
+    expected = verify.standard_suite(read_csv(path), P, C)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    calls = _counting_whole(monkeypatch)
+    assert verify.verify_csv(path, P, C) == (expected, 6, 60)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("failing,message", [
