@@ -132,7 +132,7 @@ def _mixed_endings(rows):  # \n, \r\n and \r by turns, and one blank line
 VALID = {
     "plain": _rows(),
     "trailing-blank-lines": _rows() + ["\n", "\n"],
-    "blank-line-at-block-boundary": _rows()[:121] + ["\n"] + _rows()[121:],  # chain 2 of 3
+    "blank-line-at-block-boundary": _rows()[:121] + ["\n"] + _rows()[121:],  # block 1 of 3
     "one-and-one-point-zero": _one_and_one_point_zero(_rows()),
     "crlf": _crlf(_rows()),
     "blank-lines": _with_blank_lines(_rows()),
