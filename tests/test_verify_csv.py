@@ -8,6 +8,7 @@ ValueError, naming rows in the whole file."""
 import io
 import os
 
+import numpy as np
 import pytest
 
 from qfields import simulate, verify
@@ -183,6 +184,52 @@ def test_blank_line_in_block_0_reads_the_file_once_more(tmp_path, monkeypatch):
     calls = _counting_whole(monkeypatch)
     assert verify.verify_csv(path, P, C) == (expected, 6, 60)
     assert len(calls) == 1
+
+
+LAYOUTS = {**{name: "".join(rows) for name, rows in VALID.items()}, **MALFORMED}
+# the layouts whose plan holds at 2, 3 and 7 blocks: no blank line before the last
+# row, and rows the whole read accepts; every other one is read as one block
+PLANNED = {"plain", "trailing-blank-lines", "one-and-one-point-zero", "crlf", "cr", "50-steps"}
+
+
+def _read(read) -> tuple:
+    """What a reader gives for fn = identity: the joined values and the counts,
+    or the text of its ValueError."""
+    try:
+        outs, n_chains, n_steps = read(lambda v: v)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return np.concatenate(outs).tolist(), n_chains, n_steps
+
+
+@pytest.mark.parametrize("name", list(LAYOUTS))
+def test_plan_matches_the_whole_read(name, tmp_path):
+    # CRLF, CR, blank lines, "1" and "1.0", and an undecodable byte among them
+    path = tmp_path / "chains.csv"
+    path.write_bytes(LAYOUTS[name].encode(errors="surrogateescape"))
+    whole = _read(lambda fn: simulate._read_whole(path, fn, 1))
+    # past the header line, which _read_blocks checks first, only the rows' errors
+    assert (whole[0] != "error") == (name in VALID or name in ("bad-header", "50-steps"))
+    assert simulate._read_planned(path, lambda v: v, 1) is None
+    for n_blocks in (2, 3, 7):
+        planned = simulate._read_planned(path, lambda v: v, n_blocks)
+        if name in PLANNED:
+            assert _read(lambda fn: planned) == whole
+        else:
+            assert planned is None
+
+
+@pytest.mark.parametrize("name", list(LAYOUTS))
+def test_plan_from_a_cut_last_row_reads_the_file_as_one_block(name, tmp_path, monkeypatch):
+    # tails of one, two, five, nine and seventeen bytes end inside the last row, or
+    # hold a short last row whole
+    path = tmp_path / "chains.csv"
+    path.write_bytes(LAYOUTS[name].encode(errors="surrogateescape"))
+    serial = _read(lambda fn: simulate._read_blocks(path, fn, 1))
+    for size in (1, 2, 5, 9, 17):
+        monkeypatch.setattr(simulate, "_TAIL_BYTES", size)
+        assert simulate._read_planned(path, lambda v: v, 3) is None
+        assert _read(lambda fn: simulate._read_blocks(path, fn, 3)) == serial
 
 
 @pytest.mark.parametrize("failing,message", [
