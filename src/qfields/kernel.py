@@ -5,10 +5,13 @@ The compact continuous case uses the eigen-expansion kernel
 conditional expectation maps Q_n to rho^n Q_n, which the residual operations
 certify by a trapezoid ladder in theta that raises when it does not converge
 (at a point or a sequence of points, with one q-Hermite table per call and one
-ladder per point, and the eigen residual at a degree or a sequence of degrees);
-the Gaussian endpoint uses the closed-form AR(1) kernel, the discrete cases
-keep the sign with probability (1 + rho)/2 (optionally with a chain-constant
-radius).
+ladder per point, and the eigen residual at a degree or a sequence of degrees).
+Each such kernel is built with one grid table, Q_0..Q_64 at theta = j pi / 128,
+which chooses its truncation and which the ladder's first rung and the
+sampler's conditioning states read again, and with its series coefficients
+rho^n / [n]_q!, computed once.  The Gaussian endpoint uses the closed-form
+AR(1) kernel, the discrete cases keep the sign with probability (1 + rho)/2
+(optionally with a chain-constant radius).
 
 Truncation tails of the series are orthogonal to every retained polynomial
 direction, so the spectral residual checks integrate the raw truncated
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,10 +73,16 @@ class TransitionKernel:
 
 @dataclass(frozen=True)
 class MehlerQ(TransitionKernel):
+    """Built by ``mehler_kernel``, which also fills the two read-only arrays:
+    ``grid_table``, Q_0..Q_64 at theta = j pi / 128, j = 0..128, and ``coeffs``,
+    rho^n / [n]_q! for n = 0..truncation.  Neither takes part in ==, hash or repr."""
+
     rho: float
     q: float
     truncation: int
     tail_estimate: float
+    grid_table: np.ndarray = field(compare=False, repr=False)
+    coeffs: np.ndarray = field(compare=False, repr=False)
 
     @property
     def law(self) -> QGaussian:
@@ -85,7 +94,7 @@ class MehlerQ(TransitionKernel):
 
     def expect(self, y: float, g) -> np.ndarray:
         n1 = self.truncation + 1
-        ky = _mehler_coeffs(self) * qpoly.qhermite_table(float(y), self.q, self.truncation)[:, 0]
+        ky = self.coeffs * qpoly.qhermite_table(float(y), self.q, self.truncation)[:, 0]
         return _ladder(self, lambda x, wq, tab: g(x) @ (wq * (ky @ tab[:n1])))
 
 
@@ -139,6 +148,9 @@ class ScaledTwoPointChain(_SignChain):
 
 _Q_WARN = 0.995
 _TOL = 1e-9  # series truncation target
+# mehler_kernel tabulates Q_0..Q_64 at theta = j pi / _GRID_INTERVALS, j = 0.._GRID_INTERVALS;
+# the ladder's first rung is the inner points of that grid
+_GRID_INTERVALS = 128
 
 
 def mehler_kernel(rho: float, q: float) -> MehlerQ:
@@ -158,19 +170,17 @@ def mehler_kernel(rho: float, q: float) -> MehlerQ:
                       "consider the Gaussian AR(1) kernel", stacklevel=2)
     cap = qpoly.MAX_DEGREE
     spec = QGaussian(q)
-    grid = theta_to_x(spec, np.linspace(0.0, math.pi, 129))
+    grid = theta_to_x(spec, np.linspace(0.0, math.pi, _GRID_INTERVALS + 1))
     tab = qpoly.qhermite_table(grid, q, cap)
     sup = np.abs(tab).max(axis=1)
     fact = qpoly.q_factorials(cap, q)
     t = np.abs(rho) ** np.arange(cap + 1) * sup * sup / fact
     n_trunc = next((n for n in range(4, cap) if t[n] < _TOL and t[n + 1] <= t[n]), cap)
     tail = float(t[n_trunc + 1:].sum() + t[cap] * abs(rho) / (1.0 - abs(rho)))
-    return MehlerQ(rho=rho, q=q, truncation=n_trunc, tail_estimate=tail)
-
-
-def _mehler_coeffs(k: MehlerQ) -> np.ndarray:
-    n = np.arange(k.truncation + 1)
-    return k.rho ** n / qpoly.q_factorials(k.truncation, k.q)
+    coeffs = rho ** np.arange(n_trunc + 1) / qpoly.q_factorials(n_trunc, q)
+    tab.flags.writeable = coeffs.flags.writeable = False  # shared by every reader
+    return MehlerQ(rho=rho, q=q, truncation=n_trunc, tail_estimate=tail, grid_table=tab,
+                   coeffs=coeffs)
 
 
 def mehler_sum(k: MehlerQ, x, y) -> np.ndarray:
@@ -183,7 +193,7 @@ def _mehler_rows(k: MehlerQ, x, qy: np.ndarray) -> np.ndarray:
     """mehler_sum(k, x, y) from qy = qhermite_table(y, k.q, k.truncation), which a
     caller summing many x against one y tabulates once."""
     qx = qpoly.qhermite_table(x, k.q, k.truncation)
-    qx *= _mehler_coeffs(k)[:, None]
+    qx *= k.coeffs[:, None]
     return qx.T @ qy
 
 
@@ -194,7 +204,7 @@ def _ar1_density(k: GaussianAR1, x, y):
 
 # cached theta-space evaluation data per (q, truncation, node count)
 _THETA_CACHE: dict = {}
-_NODE_LADDER = (128, 256, 512, 1024, 2048)
+_NODE_LADDER = (_GRID_INTERVALS, 256, 512, 1024, 2048)
 _LADDER_TOL = 1e-9
 _EIGEN_DEGREE_MAX = 12
 
@@ -208,20 +218,28 @@ def _theta_data(k: MehlerQ, n_nodes: int):
         # theta_j = j pi / n, weight pi / n; the endpoints carry none: w vanishes with sin(theta)
         theta = np.arange(1, n_nodes) * (math.pi / n_nodes)
         x = theta_to_x(k.law, theta)
-        _THETA_CACHE[key] = (x, (math.pi / n_nodes) * theta_weight(k.law, theta),
-                             qpoly.qhermite_table(x, k.q, max(k.truncation, _EIGEN_DEGREE_MAX)))
+        m = max(k.truncation, _EIGEN_DEGREE_MAX)
+        # the first rung's nodes are the inner points of the kernel's grid, bit for bit;
+        # copied contiguous, so that the products over it see a table of its own
+        tab = (np.ascontiguousarray(k.grid_table[:m + 1, 1:-1]) if n_nodes == _GRID_INTERVALS
+               else qpoly.qhermite_table(x, k.q, m))
+        _THETA_CACHE[key] = (x, (math.pi / n_nodes) * theta_weight(k.law, theta), tab)
     return _THETA_CACHE[key]
 
 
 def _ladder(k: MehlerQ, rung):
     """Node-doubling in theta: rung(x, wq, tab) on each size of _NODE_LADDER
     until two sizes agree within _LADDER_TOL; QuadratureError if none do.
-    tab holds Q_0..Q_M on the rung's nodes (see _theta_data)."""
+    tab holds Q_0..Q_M on the rung's nodes (see _theta_data).  A rung returns a
+    float or an array; a NaN in either never agrees."""
     vals = (rung(*_theta_data(k, n_nodes)) for n_nodes in _NODE_LADDER)
     prev, diff = next(vals), math.inf
     for val in vals:
-        diff = float(np.max(np.abs(val - prev)))
-        if diff <= _LADDER_TOL * max(1.0, float(np.max(np.abs(val)))):
+        if isinstance(val, float):
+            diff, size = abs(val - prev), abs(val)
+        else:
+            diff, size = float(np.max(np.abs(val - prev))), float(np.max(np.abs(val)))
+        if diff <= _LADDER_TOL * max(1.0, size):
             return val
         prev = val
     raise QuadratureError(f"theta quadrature did not converge at rho={k.rho:g}, q={k.q:g}, "
@@ -254,19 +272,19 @@ def eigen_residual(k: TransitionKernel, n, y):
     ys = _points(y)
     if isinstance(k, MehlerQ):
         n1 = k.truncation + 1
-        coeffs = _mehler_coeffs(k)
         qy = qpoly.qhermite_table(ys, k.q, max([k.truncation, *degrees]))
-        kys = [coeffs * qy[:n1, j] for j in range(ys.size)]
+        kys = [k.coeffs * qy[:n1, j] for j in range(ys.size)]
         dens = {}  # (point, rung size) -> wq * (ky @ tab[:n1]), which every degree reads
 
         def rung(d, j):
             def at(x, wq, tab):
                 if (j, x.size) not in dens:
                     dens[j, x.size] = wq * (kys[j] @ tab[:n1])
-                return tab[d:d + 1] @ dens[j, x.size]
+                # a one-row product: the rows of a many-row one round differently
+                return float((tab[d:d + 1] @ dens[j, x.size])[0])
             return at
 
-        vals = np.array([[_ladder(k, rung(d, j))[0] for j in range(ys.size)] for d in degrees])
+        vals = np.array([[_ladder(k, rung(d, j)) for j in range(ys.size)] for d in degrees])
     else:
         deg = max([1, *degrees])
         qy = qpoly.qhermite_table(ys, k.eigen_q, deg)
@@ -299,13 +317,12 @@ def stationarity_residual(k: TransitionKernel, x):
     law = k.law
     if isinstance(k, MehlerQ):
         n1 = k.truncation + 1
-        coeffs = _mehler_coeffs(k)
         qx = qpoly.qhermite_table(xs, k.q, k.truncation)
         out = np.empty(xs.size)
         for j, xj in enumerate(xs):
             # one density call per point: a vector call sums its product in other blocks
             fx = density(law, xj)
-            kx = coeffs * qx[:, j]
+            kx = k.coeffs * qx[:, j]
             out[j] = abs(_ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab[:n1]))) - fx)
         return _per_point(x, out)
     if isinstance(k, GaussianAR1):
@@ -343,14 +360,16 @@ def chapman_kolmogorov_residual(k: TransitionKernel, x, z):
     if not isinstance(k, MehlerQ):
         raise ValueError("Chapman-Kolmogorov check applies to continuous kernels")
     n1 = k.truncation + 1
-    coeffs = _mehler_coeffs(k)
     coeffs2 = (k.rho * k.rho) ** np.arange(n1) / qpoly.q_factorials(k.truncation, k.q)
     qxz = qpoly.qhermite_table(np.concatenate([xs, zs]), k.q, k.truncation)
     out = np.empty(xs.size)
+    fxs: dict = {}  # one scalar density call per distinct x (kernel-check repeats each x)
     for j, xj in enumerate(xs):
-        fx = density(k.law, xj)
+        if xj not in fxs:
+            fxs[xj] = density(k.law, xj)
+        fx = fxs[xj]
         qx, qz = qxz[:, j], qxz[:, xs.size + j]
-        kx, kz = coeffs * qx, coeffs * qz
+        kx, kz = k.coeffs * qx, k.coeffs * qz
         val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab[:n1]) * (kz @ tab[:n1]))))
         out[j] = abs(val - fx * float(coeffs2 @ (qx * qz)))
     return _per_point(x, out)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,15 +167,24 @@ def _product_terms(q: float, tol: float) -> int:
 _COL_BLOCK = 512
 
 
+@lru_cache(maxsize=16)
+def _product_factors(q: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """The q-only factors of _qg_log_weight, read-only: q^k and 1 - q^k as columns,
+    k = 1.._product_terms(q, tol), and the sum of log(1 - q^k).  _log_weight asks at
+    |q| < _JACOBI_Q only, at most 121 factors at _WEIGHT_TOL."""
+    qk = np.power(q, np.arange(1, _product_terms(q, tol) + 1))[:, None]
+    one_minus = 1.0 - qk
+    qk.flags.writeable = one_minus.flags.writeable = False
+    return qk, one_minus, np.log(one_minus).sum()
+
+
 def _qg_log_weight(q: float, sin_theta: np.ndarray, tol: float) -> np.ndarray:
     """log of sin(theta) * prod(1-q^k) * prod((1-q^k)^2 + 4 q^k sin^2 theta)."""
     out = np.where(sin_theta > 0.0, np.log(np.maximum(sin_theta, 1e-300)), -np.inf)
-    kmax = _product_terms(q, tol)
-    if kmax == 0:
+    qk, one_minus, log_const = _product_factors(q, tol)
+    if qk.size == 0:
         return out
-    s2, qk = sin_theta * sin_theta, np.power(q, np.arange(1, kmax + 1))[:, None]
-    one_minus = 1.0 - qk
-    log_const = np.log(one_minus).sum()
+    s2 = sin_theta * sin_theta
     # near-equal column widths, at least 2 from 2 nodes up: NumPy sums a width-1 block
     # pairwise, not row by row as it sums a wider one, which changes the last bits
     n, n_col = out.size, max(1, -(-out.size // _COL_BLOCK))

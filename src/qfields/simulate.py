@@ -8,7 +8,10 @@ rule: the Gaussian AR(1) recursion, a sign flip for the two sign chains, and
 for the compact continuous case per-state inverse-CDF tables on a cosine
 grid of conditioning states, interpolated cubically across states.  That
 step keeps to IEEE +, -, *, / and clamps, ``searchsorted`` and ``take``, so
-its bytes do not depend on the array layout, the chain count or the CPU.
+its bytes do not depend on the array layout, the chain count or the CPU.  The
+tables it reads do depend on the CPU: the weight's ``log`` and ``exp`` and the
+series coefficients' ``power`` take NumPy's AVX-512 paths where the CPU has
+them, and those round some values differently from the other paths.
 
 Memory is bounded by the output: the tables are built a block of theta-cells
 at a time, and a block of chains draws its uniforms a chunk of steps at a time
@@ -39,7 +42,6 @@ from .kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TransitionKernel
 from .measure import RadialLaw, pchip, theta_cells, theta_to_x, theta_weight
 from .params import Classification, ExistsGaussian, ExistsQGaussian, \
     ExistsScaledTwoPoint, ExistsTwoPointSymmetric
-from .qpoly import qhermite_table
 
 __all__ = [
     "SamplerConfig",
@@ -184,7 +186,8 @@ def make_sampler(c: Classification, cfg: SamplerConfig) -> ChainSampler:
     return build(c, cfg)
 
 
-# conditioning-state grid / dense-uniform-grid sizes for the conditional tables
+# conditioning-state grid / dense-uniform-grid sizes for the conditional tables; the
+# _N_Y states are the even columns of MehlerQ.grid_table (see _cell_masses)
 _N_Y = 65
 _N_CELLS = 1024
 _N_U = 4097
@@ -196,15 +199,16 @@ _STENCIL_ROWS = np.arange(4)
 _STENCIL_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def _cell_masses(k: MehlerQ, y_nodes: np.ndarray, theta_edges: np.ndarray) -> np.ndarray:
+def _cell_masses(k: MehlerQ, theta_edges: np.ndarray) -> np.ndarray:
     """The mass of f(.|y) in each theta-cell, shape (_N_CELLS, _N_Y): Gauss-Legendre
     over _CELL_NODES nodes per cell, the kernel evaluated _BLOCK_CELLS cells at a
     time against one table of Q_0..Q_N at the states, and each product rounded as
-    over the whole grid at once."""
+    over the whole grid at once.  The states theta = i pi / 64 are the even columns
+    of the kernel's grid table, theta = j pi / 128."""
     nodes, wts = (a.ravel() for a in theta_cells(theta_edges, _CELL_NODES))
     x_nodes = theta_to_x(k.law, nodes)
     wt = theta_weight(k.law, nodes)  # marginal weight in theta
-    qy = qhermite_table(y_nodes, k.q, k.truncation)
+    qy = np.ascontiguousarray(k.grid_table[:k.truncation + 1, ::2])
     cells = np.empty((_N_CELLS, _N_Y))
     for c in range(0, _N_CELLS, _BLOCK_CELLS):
         at = slice(c * _CELL_NODES, (c + _BLOCK_CELLS) * _CELL_NODES)
@@ -223,7 +227,7 @@ def _build_conditional_tables(k: MehlerQ) -> ConditionalTables:
     theta_edges = np.linspace(0.0, math.pi, _N_CELLS + 1)
     x_edges = theta_to_x(spec, theta_edges)
     # the cell masses are not held through the row loop, where the build peaks
-    F = np.vstack([np.zeros(_N_Y), np.cumsum(_cell_masses(k, y_nodes, theta_edges), axis=0)])
+    F = np.vstack([np.zeros(_N_Y), np.cumsum(_cell_masses(k, theta_edges), axis=0)])
     totals = F[-1]
     if np.any(totals <= 0.0):
         raise SamplerError("conditional mass vanished while building tables")

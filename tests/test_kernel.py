@@ -36,6 +36,52 @@ class TestConstruction:
         assert n_lo < n_hi <= qpoly.MAX_DEGREE
 
 
+# N < 12 at (0.01, 0.5), N = 64 at (0.5, 0.99); the weight by its product at |q| < 0.75,
+# by the two closed forms at q = 0.9 and q = -0.9; and q = 0
+CARRIED = [(0.01, 0.5), (0.5, 0.99), (-0.3, -0.5), (0.8, 0.9), (-0.8, -0.9), (0.3, 0.0)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestCarriedTables:
+    """mehler_kernel's grid table and coefficients, and each reader's share of
+    them, equal what the reader would compute on its own, bit for bit."""
+
+    @pytest.mark.parametrize("rho,q", CARRIED)
+    def test_grid_table_is_the_truncation_grid(self, rho, q):
+        k = mehler_kernel(rho, q)
+        grid = measure.theta_to_x(k.law, np.linspace(0.0, math.pi, 129))
+        want = qpoly.qhermite_table(grid, q, qpoly.MAX_DEGREE)
+        assert np.array_equal(_bits(k.grid_table), _bits(want))
+        assert not k.grid_table.flags.writeable
+
+    @pytest.mark.parametrize("rho,q", CARRIED)
+    def test_coefficients(self, rho, q):
+        k = mehler_kernel(rho, q)
+        n = k.truncation
+        want = rho ** np.arange(n + 1) / qpoly.q_factorials(n, q)
+        assert np.array_equal(_bits(k.coeffs), _bits(want))
+        assert not k.coeffs.flags.writeable
+
+    @pytest.mark.parametrize("rho,q", CARRIED)
+    def test_first_rung_table(self, rho, q, monkeypatch):
+        monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+        k = mehler_kernel(rho, q)
+        x, _, tab = kernel._theta_data(k, kernel._NODE_LADDER[0])
+        theta = np.arange(1, 128) * (math.pi / 128)
+        assert np.array_equal(_bits(x), _bits(measure.theta_to_x(k.law, theta)))
+        want = qpoly.qhermite_table(x, q, max(k.truncation, kernel._EIGEN_DEGREE_MAX))
+        assert np.array_equal(_bits(tab), _bits(want))
+
+    def test_left_out_of_eq_hash_and_repr(self):
+        a, b = mehler_kernel(0.5, 0.5), mehler_kernel(0.5, 0.5)
+        assert a == b and hash(a) == hash(b) and a.grid_table is not b.grid_table
+        assert repr(a) == ("MehlerQ(rho=0.5, q=0.5, truncation=%d, tail_estimate=%r)"
+                           % (a.truncation, a.tail_estimate))
+
+
 class TestTransitionDensity:
     def test_ar1_closed_form(self):
         k = GaussianAR1(0.6)
@@ -79,7 +125,7 @@ class TestTransitionDensity:
         xs = np.linspace(-s, s, 801)
         assert np.min(measure.density(k.law, xs) * kernel.mehler_sum(k, xs, [0.95 * s])[:, 0]) < 0.0
         edges = np.linspace(0.0, math.pi, simulate._N_CELLS + 1)
-        cells = simulate._cell_masses(k, np.linspace(-0.95 * s, 0.95 * s, simulate._N_Y), edges)
+        cells = simulate._cell_masses(k, edges)
         assert np.all(cells >= 0.0)
 
 
@@ -239,7 +285,7 @@ def _mehler_sum_joint(k, x, y):
     """Series sum from one pair of tables, scaled out of place."""
     qx = qpoly.qhermite_table(x, k.q, k.truncation)
     qy = qpoly.qhermite_table(y, k.q, k.truncation)
-    return (qx * kernel._mehler_coeffs(k)[:, None]).T @ qy
+    return (qx * k.coeffs[:, None]).T @ qy
 
 
 class TestMehlerSumOnly:
@@ -276,6 +322,33 @@ class TestTrapezoidLadder:
         with pytest.raises(QuadratureError, match=r"rho=0\.5, q=0\.99, N=64 by 2048") as err:
             eigen_residual(k, 0, y)
         assert err.value.estimate > 1e-9
+
+
+class TestLadderRungs:
+    """A rung may return a float or an array: a float rung and the same rung as a
+    one-element array give the same value, or the same error."""
+
+    def test_same_value(self):
+        k = mehler_kernel(0.5, 0.5)
+        got = kernel._ladder(k, lambda x, wq, tab: float(wq @ (x * x)))
+        arr = kernel._ladder(k, lambda x, wq, tab: np.array([wq @ (x * x)]))
+        assert isinstance(got, float) and arr.shape == (1,)
+        assert _bits(got).tolist() == _bits(arr).tolist()
+        assert got == pytest.approx(1.0, abs=1e-12)  # the second moment of the law
+
+    @pytest.mark.parametrize("value", [lambda x, wq: x.size, lambda x, wq: math.nan],
+                             ids=["never-converges", "nan"])
+    def test_same_error(self, value):
+        from qfields.quadrature import QuadratureError
+        k = mehler_kernel(0.5, 0.5)
+        texts = []
+        for rung in (lambda x, wq, tab: float(value(x, wq)),
+                     lambda x, wq, tab: np.array([value(x, wq)])):
+            with pytest.raises(QuadratureError) as err:
+                kernel._ladder(k, rung)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("theta quadrature did not converge at rho=0.5, q=0.5")
 
 
 class TestResidualSequences:

@@ -371,6 +371,19 @@ class TestLogWeightBlocks:
         got = measure._qg_log_weight(q, sin_t, 1e-12)
         assert np.array_equal(got, _qg_log_weight_unblocked(q, sin_t, 1e-12))
 
+    @pytest.mark.parametrize("q", [-0.74, -0.5, 0.0, 0.5, 0.74])
+    @pytest.mark.parametrize("tol", [measure._WEIGHT_TOL, measure._CDF_TOL])
+    def test_cached_factors_bitwise_against_uncached(self, q, tol):
+        # the q-only factors come from a cache: its first and later reads give the
+        # weight of the uncached expression, and the cached factors are read-only
+        sin_t = np.sin(np.linspace(0.0, math.pi, 129))
+        want = _qg_log_weight_unblocked(q, sin_t, tol).view(np.int64)
+        measure._product_factors.cache_clear()
+        for _ in range(2):
+            assert np.array_equal(measure._qg_log_weight(q, sin_t, tol).view(np.int64), want)
+        qk, one_minus, _ = measure._product_factors(q, tol)
+        assert not (qk.flags.writeable or one_minus.flags.writeable)
+
     def test_table_density_bitwise(self):
         # the 4097-point CDF grid nodes and the 513-point density CLI grid
         for q in (-0.9, 0.5, 0.99):

@@ -9,7 +9,7 @@ import pytest
 
 from qfields import measure, qpoly, simulate
 from qfields.kernel import (GaussianAR1, MehlerQ, ScaledTwoPointChain, TwoPointChain,
-                            _mehler_coeffs, mehler_kernel)
+                            mehler_kernel)
 from qfields.measure import RadialLaw, theta_cells, theta_to_x, theta_weight
 from qfields.params import (FieldParams, NonexistentDegenerate, OpenLattice,
                             classify, params_from_rho_q)
@@ -462,14 +462,38 @@ def _qhermite_oracle(x, q, n_max):
     return tab.astype(np.float64)
 
 
-def _whole_grid_masses(k, y_nodes, theta_edges):
-    """Oracle: the cell masses from one kernel matrix over every node at once."""
+def _whole_grid_masses(k, theta_edges):
+    """Oracle: the cell masses from one kernel matrix over every node at once, with
+    the states' table tabulated on its own."""
     nodes, wts = (a.ravel() for a in theta_cells(theta_edges, simulate._CELL_NODES))
+    y_nodes = theta_to_x(k.law, np.linspace(0.0, math.pi, simulate._N_Y))
     qx = _qhermite_oracle(theta_to_x(k.law, nodes), k.q, k.truncation)
     qy = _qhermite_oracle(y_nodes, k.q, k.truncation)
-    ker = (qx * _mehler_coeffs(k)[:, None]).T @ qy
+    ker = (qx * k.coeffs[:, None]).T @ qy
     integrand = np.maximum(theta_weight(k.law, nodes)[:, None] * ker, 0.0)
     return (wts[:, None] * integrand).reshape(-1, simulate._CELL_NODES, y_nodes.size).sum(axis=1)
+
+
+# N < 12 at (0.01, 0.5), N = 64 at (0.5, 0.99); the weight by its product at |q| < 0.75,
+# by the two closed forms at q = 0.9 and q = -0.9; and q = 0
+@pytest.mark.parametrize("rho,q", [(0.01, 0.5), (0.5, 0.99), (-0.3, -0.5), (0.8, 0.9),
+                                   (-0.8, -0.9), (0.3, 0.0)])
+def test_states_table_is_tabulated_at_the_states(rho, q, monkeypatch):
+    """The cell masses read Q_0..Q_N at the _N_Y states from the kernel's grid table:
+    bit for bit the table of the states on their own."""
+    k = mehler_kernel(rho, q)
+    seen, mehler_rows = [], simulate._mehler_rows
+
+    def rows(k, x, qy):
+        seen.append(qy)
+        return mehler_rows(k, x, qy)
+
+    monkeypatch.setattr(simulate, "_mehler_rows", rows)
+    simulate._cell_masses(k, np.linspace(0.0, math.pi, simulate._N_CELLS + 1))
+    y_nodes = theta_to_x(k.law, np.linspace(0.0, math.pi, simulate._N_Y))
+    want = qpoly.qhermite_table(y_nodes, q, k.truncation).view(np.int64)
+    assert len(seen) == simulate._N_CELLS // simulate._BLOCK_CELLS
+    assert all(np.array_equal(qy.view(np.int64), want) for qy in seen)
 
 
 def _whole_block_oracle(s, ids, n_steps, master_seed):
