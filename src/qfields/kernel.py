@@ -9,7 +9,10 @@ ladder per point, and the eigen residual at a degree or a sequence of degrees).
 Each such kernel is built with one grid table, Q_0..Q_64 at theta = j pi / 128,
 which chooses its truncation and which the ladder's first rung and the
 sampler's conditioning states read again, and with its series coefficients
-rho^n / [n]_q!, computed once.  The Gaussian endpoint uses the closed-form
+rho^n / [n]_q!, computed once.  All else the residual operations read depends on
+q alone, and they keep it in one bounded store, _THETA_CACHE, one entry per q (see
+_QData); mehler_kernel reads the entry of its q when there is one and otherwise
+builds its grid table without storing it.  The Gaussian endpoint uses the closed-form
 AR(1) kernel, the discrete cases keep the sign with probability (1 + rho)/2
 (optionally with a chain-constant radius).
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import qpoly
 from .measure import QGaussian, RadialLaw, StdGaussian, ScaledTwoPoint, TwoPointSym, \
-    density, theta_to_x, theta_weight
+    _put_bounded, density, theta_to_x, theta_weight
 from .params import FieldParams, _check_rho, regression_coeffs
 from .quadrature import QuadratureError, gh_nodes, integrate_gaussian
 
@@ -169,18 +172,36 @@ def mehler_kernel(rho: float, q: float) -> MehlerQ:
         warnings.warn(f"q = {q} close to 1: series truncation degrades; "
                       "consider the Gaussian AR(1) kernel", stacklevel=2)
     cap = qpoly.MAX_DEGREE
-    spec = QGaussian(q)
-    grid = theta_to_x(spec, np.linspace(0.0, math.pi, _GRID_INTERVALS + 1))
-    tab = qpoly.qhermite_table(grid, q, cap)
-    sup = np.abs(tab).max(axis=1)
-    fact = qpoly.q_factorials(cap, q)
-    t = np.abs(rho) ** np.arange(cap + 1) * sup * sup / fact
+    data = _THETA_CACHE.get(q)
+    if data is None:  # only the residual calls store an entry
+        grid = theta_to_x(QGaussian(q), np.linspace(0.0, math.pi, _GRID_INTERVALS + 1))
+        data = _QData(q, qpoly.qhermite_table(grid, q, cap))
+    t = np.abs(rho) ** np.arange(cap + 1) * data.sup * data.sup / data.fact
     n_trunc = next((n for n in range(4, cap) if t[n] < _TOL and t[n + 1] <= t[n]), cap)
     tail = float(t[n_trunc + 1:].sum() + t[cap] * abs(rho) / (1.0 - abs(rho)))
-    coeffs = rho ** np.arange(n_trunc + 1) / qpoly.q_factorials(n_trunc, q)
-    tab.flags.writeable = coeffs.flags.writeable = False  # shared by every reader
-    return MehlerQ(rho=rho, q=q, truncation=n_trunc, tail_estimate=tail, grid_table=tab,
-                   coeffs=coeffs)
+    coeffs = rho ** np.arange(n_trunc + 1) / data.fact[:n_trunc + 1]
+    coeffs.flags.writeable = False  # shared by every reader, as the grid table is
+    return MehlerQ(rho=rho, q=q, truncation=n_trunc, tail_estimate=tail,
+                   grid_table=data.grid_table, coeffs=coeffs)
+
+
+class _QData:
+    """The q-only data of one q (see _THETA_CACHE): the grid table, its row suprema
+    and [0]_q!..[64]_q!, and what the residual calls fill in: per rung size its nodes,
+    weights and Q_0..Q_64 table (see _theta_data), per point set its Q_0..Q_64 table
+    (see _point_table) and per point the law's density (see _density).  Every array is
+    read-only and shared by its readers."""
+
+    __slots__ = ("grid_table", "sup", "fact", "rungs", "tables", "densities")
+
+    def __init__(self, q: float, grid_table: np.ndarray):
+        self.grid_table = grid_table
+        self.sup = np.abs(grid_table).max(axis=1)
+        self.fact = qpoly.q_factorials(qpoly.MAX_DEGREE, q)
+        grid_table.flags.writeable = self.sup.flags.writeable = self.fact.flags.writeable = False
+        self.rungs: dict = {}
+        self.tables: dict = {}
+        self.densities: dict = {}
 
 
 def mehler_sum(k: MehlerQ, x, y) -> np.ndarray:
@@ -202,29 +223,72 @@ def _ar1_density(k: GaussianAR1, x, y):
     return np.exp(-0.5 * (x - k.rho * y) ** 2 / sd2) / math.sqrt(2.0 * math.pi * sd2)
 
 
-# cached theta-space evaluation data per (q, truncation, node count)
+# the q-only data of the residual calls, one _QData per q, keyed by the float q; the
+# residual calls make the entries, mehler_kernel only reads them.  At most
+# _THETA_CACHE_SIZE q values, the oldest dropped first; per q at most _POINT_TABLES
+# point-set tables and _POINT_DENSITIES densities.  Any dict serves as the store
 _THETA_CACHE: dict = {}
+_THETA_CACHE_SIZE = 8
+_POINT_TABLES = 8
+_POINT_DENSITIES = 32
 _NODE_LADDER = (_GRID_INTERVALS, 256, 512, 1024, 2048)
 _LADDER_TOL = 1e-9
 _EIGEN_DEGREE_MAX = 12
 
 
+def _q_data(k: MehlerQ) -> _QData:
+    """The store's entry of k.q, made if there is none; its grid table is k's, which
+    mehler_kernel computed from q alone."""
+    data = _THETA_CACHE.get(k.q)
+    if data is None:
+        data = _put_bounded(_THETA_CACHE, k.q, _QData(k.q, k.grid_table), _THETA_CACHE_SIZE)
+    return data
+
+
 def _theta_data(k: MehlerQ, n_nodes: int):
     """Nodes x, weights w(theta) d(theta) and Q_0..Q_M(x), M = max(N, _EIGEN_DEGREE_MAX),
     of one trapezoid rung, which converges geometrically on even, 2 pi-periodic,
-    analytic integrands.  The kernel reads rows 0..N, the eigen residual row n."""
-    key = (k.q, k.truncation, n_nodes)
-    if key not in _THETA_CACHE:
+    analytic integrands.  The kernel reads rows 0..N, the eigen residual row n; the
+    table is a row prefix of the rung's Q_0..Q_64, which every kernel at k.q shares."""
+    data = _q_data(k)
+    rung = data.rungs.get(n_nodes)
+    if rung is None:
         # theta_j = j pi / n, weight pi / n; the endpoints carry none: w vanishes with sin(theta)
         theta = np.arange(1, n_nodes) * (math.pi / n_nodes)
         x = theta_to_x(k.law, theta)
-        m = max(k.truncation, _EIGEN_DEGREE_MAX)
-        # the first rung's nodes are the inner points of the kernel's grid, bit for bit;
-        # copied contiguous, so that the products over it see a table of its own
-        tab = (np.ascontiguousarray(k.grid_table[:m + 1, 1:-1]) if n_nodes == _GRID_INTERVALS
-               else qpoly.qhermite_table(x, k.q, m))
-        _THETA_CACHE[key] = (x, (math.pi / n_nodes) * theta_weight(k.law, theta), tab)
-    return _THETA_CACHE[key]
+        # the first rung's nodes are the inner points of the grid, bit for bit; copied
+        # contiguous, so that the products over it see a table of its own
+        tab = (np.ascontiguousarray(data.grid_table[:, 1:-1]) if n_nodes == _GRID_INTERVALS
+               else qpoly.qhermite_table(x, k.q, qpoly.MAX_DEGREE))
+        rung = (x, (math.pi / n_nodes) * theta_weight(k.law, theta), tab)
+        for a in rung:
+            a.flags.writeable = False
+        data.rungs[n_nodes] = rung
+    x, wq, tab = rung
+    return x, wq, tab[:max(k.truncation, _EIGEN_DEGREE_MAX) + 1]
+
+
+def _point_table(k: MehlerQ, xs: np.ndarray) -> np.ndarray:
+    """Q_0..Q_64 at the points xs of a residual call (see _points), read-only; the
+    entry of k.q holds the tables of its last _POINT_TABLES point sets."""
+    tables = _q_data(k).tables
+    key = xs.tobytes()
+    tab = tables.get(key)
+    if tab is None:
+        tab = qpoly.qhermite_table(xs, k.q, qpoly.MAX_DEGREE)
+        tab.flags.writeable = False
+        _put_bounded(tables, key, tab, _POINT_TABLES)
+    return tab
+
+
+def _density(k: MehlerQ, x: float) -> float:
+    """The law's density at one point, a scalar call (a vector call sums its product in
+    other blocks); the entry of k.q holds its last _POINT_DENSITIES."""
+    densities = _q_data(k).densities
+    fx = densities.get(x)
+    if fx is None:
+        fx = _put_bounded(densities, x, density(k.law, x), _POINT_DENSITIES)
+    return fx
 
 
 def _ladder(k: MehlerQ, rung):
@@ -272,7 +336,7 @@ def eigen_residual(k: TransitionKernel, n, y):
     ys = _points(y)
     if isinstance(k, MehlerQ):
         n1 = k.truncation + 1
-        qy = qpoly.qhermite_table(ys, k.q, max([k.truncation, *degrees]))
+        qy = _point_table(k, ys)
         kys = [k.coeffs * qy[:n1, j] for j in range(ys.size)]
         dens = {}  # (point, rung size) -> wq * (ky @ tab[:n1]), which every degree reads
 
@@ -317,12 +381,11 @@ def stationarity_residual(k: TransitionKernel, x):
     law = k.law
     if isinstance(k, MehlerQ):
         n1 = k.truncation + 1
-        qx = qpoly.qhermite_table(xs, k.q, k.truncation)
+        qx = _point_table(k, xs)
         out = np.empty(xs.size)
         for j, xj in enumerate(xs):
-            # one density call per point: a vector call sums its product in other blocks
-            fx = density(law, xj)
-            kx = k.coeffs * qx[:, j]
+            fx = _density(k, xj)
+            kx = k.coeffs * qx[:n1, j]
             out[j] = abs(_ladder(k, lambda y, wq, tab: fx * float(wq @ (kx @ tab[:n1]))) - fx)
         return _per_point(x, out)
     if isinstance(k, GaussianAR1):
@@ -360,15 +423,12 @@ def chapman_kolmogorov_residual(k: TransitionKernel, x, z):
     if not isinstance(k, MehlerQ):
         raise ValueError("Chapman-Kolmogorov check applies to continuous kernels")
     n1 = k.truncation + 1
-    coeffs2 = (k.rho * k.rho) ** np.arange(n1) / qpoly.q_factorials(k.truncation, k.q)
-    qxz = qpoly.qhermite_table(np.concatenate([xs, zs]), k.q, k.truncation)
+    coeffs2 = (k.rho * k.rho) ** np.arange(n1) / _q_data(k).fact[:n1]
+    qxz = _point_table(k, np.concatenate([xs, zs]))
     out = np.empty(xs.size)
-    fxs: dict = {}  # one scalar density call per distinct x (kernel-check repeats each x)
     for j, xj in enumerate(xs):
-        if xj not in fxs:
-            fxs[xj] = density(k.law, xj)
-        fx = fxs[xj]
-        qx, qz = qxz[:, j], qxz[:, xs.size + j]
+        fx = _density(k, xj)  # kernel-check repeats each x, and its stationarity points
+        qx, qz = qxz[:n1, j], qxz[:n1, xs.size + j]
         kx, kz = k.coeffs * qx, k.coeffs * qz
         val = _ladder(k, lambda y, wq, tab: fx * float(wq @ ((kx @ tab[:n1]) * (kz @ tab[:n1]))))
         out[j] = abs(val - fx * float(coeffs2 @ (qx * qz)))

@@ -392,7 +392,20 @@ class CdfTable:
 _CDF_POINTS = 4097
 _CDF_TOL = 1e-10
 _CELL_NODES = 16
+# cdf_table's tables by spec, about 200 KB each; at most _TABLE_CACHE_SIZE, the oldest
+# dropped first (see _put_bounded)
 _TABLE_CACHE: dict = {}
+_TABLE_CACHE_SIZE = 8
+
+
+def _put_bounded(store: dict, key, value, size: int):
+    """store[key] = value for a key not in store, first dropping the oldest entries
+    (in insertion order) so that at most size remain; returns value.  Any dict
+    serves as the store."""
+    while len(store) >= size:
+        del store[next(iter(store))]
+    store[key] = value
+    return value
 
 
 def theta_cells(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,7 +422,7 @@ def _strictly_increasing(F: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def cdf_table(spec: MeasureSpec) -> CdfTable:
-    """Build (and cache) the CDF table of a compact continuous spec.
+    """Build (and cache, see _TABLE_CACHE) the CDF table of a compact continuous spec.
 
     Cosine-spaced grid; per-cell Gauss-Legendre in theta (the density
     vanishes like a square root at the endpoints, which the substitution
@@ -441,5 +454,4 @@ def cdf_table(spec: MeasureSpec) -> CdfTable:
         raise ValueError(
             f"CDF table of QGaussian(q={spec.q:g}) on n_points={_CDF_POINTS} has "
             f"non-finite slopes: the mass near the support ends underflows") from None
-    _TABLE_CACHE[spec] = table
-    return table
+    return _put_bounded(_TABLE_CACHE, spec, table, _TABLE_CACHE_SIZE)

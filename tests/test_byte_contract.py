@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qfields
-from qfields import params, simulate
+from qfields import kernel, params, simulate
 from qfields.cli import run
 from qfields.kernel import mehler_kernel
 from qfields.measure import RadialLaw
@@ -238,6 +238,55 @@ def test_kernel_check_unconverged_stderr():
     for rho, estimate in KERNEL_CHECK_UNCONVERGED.items():
         want = KERNEL_CHECK_UNCONVERGED_STDERR.format(rho=rho, estimate=estimate)
         assert _kernel_check(rho, 0.99) == (2, "", want)
+
+
+# the 36 points of the benchmark's kernel_scan: 32 in KERNEL_CHECK_DIGESTS and the four
+# of KERNEL_CHECK_UNCONVERGED
+SCAN_POINTS = [(rho, q) for rho in (-0.8, -0.3, 0.3, 0.5, 0.8, 0.95)
+               for q in (-0.9, -0.5, 0.0, 0.5, 0.9, 0.99)]
+
+
+def _pinned_check(rho, q) -> tuple[int, str, str]:
+    """kernel-check's pinned (exit code, stdout digest or "", stderr) at a scan point."""
+    if q == 0.99 and rho in KERNEL_CHECK_UNCONVERGED:
+        return 2, "", KERNEL_CHECK_UNCONVERGED_STDERR.format(
+            rho=rho, estimate=KERNEL_CHECK_UNCONVERGED[rho])
+    return 0, KERNEL_CHECK_DIGESTS[(rho, q)], ""
+
+
+def _scan_check(rho, q) -> tuple[int, str, str]:
+    rc, text, err = _kernel_check(rho, q)
+    return rc, _sha(text) if text else "", err
+
+
+# the scan in pinned order, reversed, after a check at truncation N = 6 (whose rung
+# tables every later kernel at q = 0.5 reads to its own N), and from an empty store
+ORDERS = {"pinned": SCAN_POINTS, "reversed": SCAN_POINTS[::-1],
+          "low-truncation-first": [(0.01, 0.5)] + SCAN_POINTS, "reset": SCAN_POINTS}
+
+
+@pytest.mark.parametrize("order", list(ORDERS))
+def test_kernel_check_bytes_whatever_the_order(order, monkeypatch):
+    # kernel._THETA_CACHE holds the q-only data of earlier checks; whatever came
+    # before, every point gives its pinned bytes
+    monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+    got, want = {}, {}
+    for rho, q in ORDERS[order]:
+        if order == "reset":
+            monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+        got[rho, q], want[rho, q] = _scan_check(rho, q), _pinned_check(rho, q)
+    assert got == want
+
+
+@pytest.mark.parametrize("rho,q", list(TABLE_DIGESTS))
+def test_sampler_after_kernel_check_bytes(rho, q, monkeypatch):
+    # the sampler's kernel reads the entry the check made, and its tables keep their bytes
+    monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+    assert _scan_check(rho, q) == _pinned_check(rho, q)
+    sampler = make_sampler(params.ExistsQGaussian(q=q), SamplerConfig(rho=rho, q=q))
+    assert sampler.kernel.grid_table is kernel._THETA_CACHE[q].grid_table
+    assert hashlib.sha256(sampler.conditional.quantiles.tobytes()).hexdigest() == \
+        TABLE_DIGESTS[(rho, q)]
 
 
 @pytest.mark.parametrize("case", list(CLASSIFY_DIGESTS))

@@ -75,11 +75,85 @@ class TestCarriedTables:
         want = qpoly.qhermite_table(x, q, max(k.truncation, kernel._EIGEN_DEGREE_MAX))
         assert np.array_equal(_bits(tab), _bits(want))
 
-    def test_left_out_of_eq_hash_and_repr(self):
+    def test_left_out_of_eq_hash_and_repr(self, monkeypatch):
+        # with no entry of q = 0.5 in the store, each kernel builds a grid table of its own
+        monkeypatch.setattr(kernel, "_THETA_CACHE", {})
         a, b = mehler_kernel(0.5, 0.5), mehler_kernel(0.5, 0.5)
         assert a == b and hash(a) == hash(b) and a.grid_table is not b.grid_table
         assert repr(a) == ("MehlerQ(rho=0.5, q=0.5, truncation=%d, tail_estimate=%r)"
                            % (a.truncation, a.tail_estimate))
+
+
+def _store_arrays(data):
+    """Every array an entry of kernel._THETA_CACHE holds."""
+    return [data.grid_table, data.sup, data.fact, *data.tables.values(),
+            *(a for rung in data.rungs.values() for a in rung)]
+
+
+class TestThetaStore:
+    """kernel._THETA_CACHE keeps the q-only data of the residual calls, one entry per
+    q: bounded, made by the residual calls only, and shared without changing a bit."""
+
+    def test_entries_bounded_oldest_dropped_first(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+        size = kernel._THETA_CACHE_SIZE
+        qs = [float(q) for q in np.linspace(-0.6, 0.6, size + 3)]
+        for q in qs:
+            stationarity_residual(mehler_kernel(0.5, q), 0.5)
+            assert len(kernel._THETA_CACHE) <= size
+        assert list(kernel._THETA_CACHE) == qs[-size:]
+
+    def test_point_memos_bounded(self, monkeypatch):
+        # more single points than either memo holds; each residual is the one from an
+        # empty store, bit for bit
+        monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+        k = mehler_kernel(0.5, 0.5)
+        xs = np.linspace(-2.5, 2.5, kernel._POINT_DENSITIES + 5)
+        got = [stationarity_residual(k, x) for x in xs]
+        data = kernel._THETA_CACHE[0.5]
+        assert len(data.tables) == kernel._POINT_TABLES
+        assert len(data.densities) == kernel._POINT_DENSITIES
+        want = []
+        for x in xs:
+            monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+            want.append(stationarity_residual(k, x))
+        assert _bits(got).tolist() == _bits(want).tolist()
+
+    @pytest.mark.parametrize("rho,q", CARRIED)
+    def test_kernel_from_an_entry_equals_a_fresh_one(self, rho, q, monkeypatch):
+        from qfields.quadrature import QuadratureError
+        monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # q = 0.99 warns near 1
+            fresh = mehler_kernel(rho, q)
+            assert kernel._THETA_CACHE == {}  # building a kernel makes no entry
+            try:
+                stationarity_residual(fresh, 0.0)
+            except QuadratureError:
+                pass  # the entry is made before the ladder fails
+            data = kernel._THETA_CACHE[q]
+            shared = mehler_kernel(rho, q)
+        assert shared.grid_table is data.grid_table
+        assert all(not a.flags.writeable for a in _store_arrays(data))
+        assert shared == fresh and hash(shared) == hash(fresh) and repr(shared) == repr(fresh)
+        assert _bits(shared.grid_table).tolist() == _bits(fresh.grid_table).tolist()
+        assert _bits(shared.coeffs).tolist() == _bits(fresh.coeffs).tolist()
+
+    def test_sampler_makes_no_entry(self, monkeypatch):
+        from qfields import simulate
+        from qfields.params import classify
+        monkeypatch.setattr(kernel, "_THETA_CACHE", {})
+        simulate.make_sampler(classify(params_from_rho_q(0.5, 0.5)),
+                              simulate.SamplerConfig(rho=0.5, q=0.5))
+        assert kernel._THETA_CACHE == {}
+
+    def test_a_plain_dict_serves(self, monkeypatch):
+        store: dict = {}
+        monkeypatch.setattr(kernel, "_THETA_CACHE", store)
+        k = mehler_kernel(-0.3, -0.5)
+        s = measure.support(k.law)[1]
+        eigen_residual(k, range(9), [-0.4 * s, 0.4 * s])
+        assert list(store) == [-0.5] and store[-0.5].rungs
 
 
 class TestTransitionDensity:

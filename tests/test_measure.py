@@ -203,6 +203,20 @@ class TestCdfTable:
         with pytest.raises(ValueError):
             cdf_table(StdGaussian())
 
+    def test_cache_bounded_oldest_dropped_first(self, monkeypatch):
+        # one more spec than the bound drops the first; rebuilt, its table is the same
+        monkeypatch.setattr(measure, "_TABLE_CACHE", {})
+        specs = [QGaussian(q) for q in np.linspace(-0.8, 0.8, measure._TABLE_CACHE_SIZE + 1)]
+        u = np.linspace(0.0, 1.0, 257)
+        first = cdf_table(specs[0])
+        for spec in specs[1:]:
+            cdf_table(spec)
+        assert list(measure._TABLE_CACHE) == specs[1:]
+        again = cdf_table(specs[0])
+        assert again is not first and list(measure._TABLE_CACHE) == specs[2:] + specs[:1]
+        assert again.quantile(u).tobytes() == first.quantile(u).tobytes()
+        assert again.max_error == first.max_error
+
 
 class TestCdfTableNearQOne:
     # n_points: the grid size the refusal names, the fixed CDF grid
