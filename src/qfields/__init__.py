@@ -21,10 +21,6 @@ from .params import (
     classify,
     regression_coeffs,
     consistency_residuals,
-    two_sided_weights,
-    gap_second_moment_coeffs,
-    gap_induction_residual,
-    forecast_recurrence_check,
     params_from_rho_b,
     params_from_rho_q,
 )
@@ -54,7 +50,6 @@ from .kernel import (
     ScaledTwoPointChain,
     mehler_kernel,
     eigen_residual,
-    conditional_moment_residual,
     stationarity_residual,
     chapman_kolmogorov_residual,
 )

@@ -33,7 +33,7 @@ import numpy as np
 from . import qpoly
 from .measure import QGaussian, RadialLaw, StdGaussian, ScaledTwoPoint, TwoPointSym, \
     _put_bounded, density, theta_to_x, theta_weight
-from .params import FieldParams, _check_rho, regression_coeffs
+from .params import _check_rho
 from .quadrature import QuadratureError, gh_nodes, integrate_gaussian
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "ScaledTwoPointChain",
     "mehler_kernel",
     "eigen_residual",
-    "conditional_moment_residual",
     "stationarity_residual",
     "chapman_kolmogorov_residual",
 ]
@@ -204,14 +203,9 @@ class _QData:
         self.densities: dict = {}
 
 
-def mehler_sum(k: MehlerQ, x, y) -> np.ndarray:
-    """The bivariate series sum_{n<=N} rho^n Q_n(x) Q_n(y) / [n]_q!
-    with shape (len(x), len(y))."""
-    return _mehler_rows(k, x, qpoly.qhermite_table(y, k.q, k.truncation))
-
-
 def _mehler_rows(k: MehlerQ, x, qy: np.ndarray) -> np.ndarray:
-    """mehler_sum(k, x, y) from qy = qhermite_table(y, k.q, k.truncation), which a
+    """The bivariate series sum_{n<=N} rho^n Q_n(x) Q_n(y) / [n]_q!, shape
+    (len(x), len(y)), from qy = qhermite_table(y, k.q, k.truncation), which a
     caller summing many x against one y tabulates once."""
     qx = qpoly.qhermite_table(x, k.q, k.truncation)
     qx *= k.coeffs[:, None]
@@ -327,12 +321,16 @@ def eigen_residual(k: TransitionKernel, n, y):
     """|integral Q_n(x) f(x|y) dx - rho^n Q_n(y)| for the kernel's q, at a point y
     (a float) or at each of a sequence of points (an array), for a degree n or for
     each of a sequence of degrees (a leading axis, equal bit for bit to the stacked
-    calls at one degree).  Each degree and point runs its own quadrature, degree by
-    degree and in each point by point, so the first that fails to converge raises."""
-    degrees = np.atleast_1d(n).tolist()
-    if not degrees or not all(0 <= d <= _EIGEN_DEGREE_MAX for d in degrees):
-        raise ValueError(f"degree n must be in [0, {_EIGEN_DEGREE_MAX}], or a nonempty "
-                         "sequence of such degrees")
+    calls at one degree).  A degree is a Python or NumPy integer, as range and
+    np.arange give them; anything else raises ValueError.  Each degree and point runs
+    its own quadrature, degree by degree and in each point by point, so the first
+    that fails to converge raises."""
+    degrees = list(n) if np.ndim(n) else [n]
+    if not degrees or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                              and 0 <= d <= _EIGEN_DEGREE_MAX for d in degrees):
+        raise ValueError(f"degree n must be an integer in [0, {_EIGEN_DEGREE_MAX}], or a "
+                         "nonempty sequence of such integers")
+    degrees = [int(d) for d in degrees]
     ys = _points(y)
     if isinstance(k, MehlerQ):
         n1 = k.truncation + 1
@@ -360,17 +358,6 @@ def eigen_residual(k: TransitionKernel, n, y):
     if not np.ndim(n):
         return _per_point(y, out[0])
     return out if np.ndim(y) else out[:, 0]
-
-
-def conditional_moment_residual(k: TransitionKernel, p: FieldParams, y: float) -> dict:
-    """Residuals of the one-step conditional mean and second moment against
-    rho*y and alpha1*y^2 + gamma1 from the parameter algebra (D = 0)."""
-    rc = regression_coeffs(p)
-    mean, second = (float(v) for v in k.expect(y, lambda x: np.vstack([x, x * x])))
-    return {
-        "r_mean": float(abs(mean - p.rho * y)),
-        "r_var": float(abs(second - (rc.alpha1 * y * y + rc.gamma1))),
-    }
 
 
 def stationarity_residual(k: TransitionKernel, x):

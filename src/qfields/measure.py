@@ -273,7 +273,10 @@ def theta_to_x(spec: QGaussian, theta: np.ndarray) -> np.ndarray:
 
 
 def moment(spec: MeasureSpec, k: int) -> float:
-    """k-th moment; odd moments return exactly 0 by symmetry."""
+    """k-th moment, for an integer k (a Python or NumPy one, not a bool); odd
+    moments return exactly 0 by symmetry."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise ValueError(f"moment order must be an integer, not {k!r}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > 16:

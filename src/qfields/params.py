@@ -6,8 +6,8 @@ terms and the coefficients of the quadratic conditional second moment
 (the conditional mean is the symmetric linear form ``a (x + y)`` with
 ``a = rho / (1 + rho^2)``).  This module validates parameter sets, derives the
 deformation parameter ``q``, classifies each set as existing / nonexistent /
-open, and exposes the auxiliary regression and bridging identities used by
-the verification suites.
+open, and gives the regression coefficients of one and two steps and the
+residuals of their tower-property system, which the ``coeffs`` command reports.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "OpenLattice",
     "RegressionCoeffs",
     "ConsistencyResiduals",
-    "TwoSidedWeights",
-    "GapCoeffs",
     "BoundaryValues",
     "DegenerateDenominatorError",
     "validate",
@@ -41,10 +39,6 @@ __all__ = [
     "classify",
     "regression_coeffs",
     "consistency_residuals",
-    "two_sided_weights",
-    "gap_second_moment_coeffs",
-    "gap_induction_residual",
-    "forecast_recurrence_check",
     "params_from_rho_b",
     "params_from_rho_q",
 ]
@@ -354,112 +348,6 @@ def consistency_residuals(p: FieldParams) -> ConsistencyResiduals:
         d_product=p.D * (p.C - (1.0 - p.rho) * p.rho * (1.0 - p.A * (1.0 + rho2))),
         c_product=p.C * (p.A * (rho2 + 1.0 / rho2) + p.B - 1.0),
     )
-
-
-@dataclass(frozen=True)
-class TwoSidedWeights:
-    """Projection weights conditioning on X_{k-1} and X_{k+n+1}.
-
-    ``w_left``/``w_right`` reconstruct E(X_k | both), ``w_left_next`` and
-    ``w_right_next`` reconstruct E(X_{k+1} | both). At n = 0 both targets
-    reduce to the nearest-neighbour mean with symmetric weight rho/(1+rho^2).
-    """
-
-    w_left: float
-    w_right: float
-    w_left_next: float
-    w_right_next: float
-
-
-def two_sided_weights(rho: float, n: int) -> TwoSidedWeights:
-    _check_rho(rho)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    den = rho ** (n + 2) - rho ** (-(n + 2))
-    return TwoSidedWeights(
-        w_left=(rho ** (n + 1) - rho ** (-(n + 1))) / den,
-        w_right=(rho - 1.0 / rho) / den,
-        w_left_next=(rho ** n - rho ** (-n)) / den,
-        w_right_next=(rho * rho - rho ** -2) / den,
-    )
-
-
-@dataclass(frozen=True)
-class GapCoeffs:
-    """Coefficients of E(X_k^2 | X_{k-1}, X_{k+n}) at the degenerate point:
-    ``left_sq`` X_{k-1}^2 + ``right_sq`` X_{k+n}^2 + ``cross`` X_{k-1} X_{k+n}."""
-
-    left_sq: float
-    right_sq: float
-    cross: float
-
-
-def gap_second_moment_coeffs(rho: float, n: int) -> GapCoeffs:
-    _check_rho(rho)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rho2 = rho * rho
-    r2n = rho2 ** n
-    r2n2 = r2n * rho2
-    return GapCoeffs(
-        left_sq=(1.0 - r2n) / (1.0 - r2n2),
-        right_sq=(1.0 - rho2) / (1.0 - r2n2),
-        cross=(rho2 - 1.0) * (1.0 - r2n) / (rho ** (n + 1) * (1.0 - r2n2)),
-    )
-
-
-def _degenerate_point(rho: float) -> tuple[float, float]:
-    rho2 = rho * rho
-    return 1.0 / (1.0 + rho2), (rho2 - 1.0) / (rho2 * (1.0 + rho2))
-
-
-def gap_induction_residual(rho: float, n: int) -> float:
-    """Numerically run the induction step widening the gap from n to n + 1.
-
-    Substitutes the gap-n coefficients and the two-sided projection weights
-    into the tower-property identity at the degenerate parameter point,
-    solves the resulting linear equation for the gap-(n+1) coefficients and
-    returns their maximum deviation from the closed forms.  The cross
-    coefficient grows like rho^(-n-1), so each deviation is normalized by
-    max(1, |closed-form value|) to keep the check scale-free.
-    """
-    A, B = _degenerate_point(rho)
-    c = gap_second_moment_coeffs(rho, n)
-    w = two_sided_weights(rho, n)
-    den = 1.0 - A * c.left_sq
-    c1 = (A + B * w.w_left_next) / den
-    c2 = A * (c.right_sq + c.cross * w.w_right) / den
-    c3 = (A * c.cross * w.w_left + B * w.w_right_next) / den
-    ref = gap_second_moment_coeffs(rho, n + 1)
-    return max(
-        abs(c1 - ref.left_sq) / max(1.0, abs(ref.left_sq)),
-        abs(c2 - ref.right_sq) / max(1.0, abs(ref.right_sq)),
-        abs(c3 - ref.cross) / max(1.0, abs(ref.cross)),
-    )
-
-
-def forecast_recurrence_check(rho: float, y0: float, y1: float, n_max: int) -> float:
-    """Iterate Y_{n+1} = (1 + rho^2) Y_n - rho^2 Y_{n-1} against its closed form.
-
-    The closed form is C1 + C2 rho^(2n) with C2 = (y0 - y1)/(1 - rho^2) and
-    C1 = -(rho^2 y0 - y1)/(1 - rho^2); returns the max deviation over
-    n <= n_max.
-    """
-    _check_rho(rho)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    rho2 = rho * rho
-    c2 = (y0 - y1) / (1.0 - rho2)
-    c1 = -(rho2 * y0 - y1) / (1.0 - rho2)
-    dev = 0.0
-    prev, cur = y0, y1
-    r2n = rho2
-    for _ in range(1, n_max + 1):
-        nxt = (1.0 + rho2) * cur - rho2 * prev
-        prev, cur = cur, nxt
-        r2n *= rho2
-        dev = max(dev, abs(cur - (c1 + c2 * r2n)))
-    return dev
 
 
 def params_from_rho_b(rho: float, B: float) -> FieldParams:

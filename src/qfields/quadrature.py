@@ -1,7 +1,7 @@
 """Quadrature helpers: Gauss-Legendre for the per-cell theta integrals of the
-CDF and conditional tables (and, node-doubling, the tests' oracle), where the
-substitution absorbs the square-root vanishing of the compact densities; the
-kernel's residual checks run their own trapezoid ladder in theta.
+CDF and conditional tables, where the substitution absorbs the square-root
+vanishing of the compact densities; the kernel's residual checks run their own
+trapezoid ladder in theta.
 Gauss-Hermite handles the unbounded Gaussian cases exactly on polynomials.
 """
 
@@ -32,34 +32,6 @@ def gl_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
-                       a: float, b: float,
-                       tol: float = 1e-10,
-                       n_start: int = 64,
-                       n_max: int = 8192) -> tuple[float, float]:
-    """Node-doubling Gauss-Legendre with a Cauchy-difference error estimate.
-
-    Returns (value, error_estimate); raises QuadratureError when doubling up
-    to n_max never brings consecutive passes within tol of each other.  f
-    must accept node arrays.
-    """
-    def fixed(n: int) -> float:
-        x, w = gl_nodes(a, b, n)
-        return float(w @ np.asarray(f(x), dtype=float))
-
-    prev = fixed(n_start)
-    n = 2 * n_start
-    est = np.inf
-    while n <= n_max:
-        val = fixed(n)
-        est = abs(val - prev)
-        if est <= tol * max(1.0, abs(val)):
-            return val, est
-        prev = val
-        n *= 2
-    raise QuadratureError("quadrature did not converge", est)
 
 
 @lru_cache(maxsize=16)

@@ -11,18 +11,20 @@ import numpy as np
 from qfields import measure, params, qpoly, simulate, verify
 from qfields.cli import run as cli_run
 from qfields.kernel import (GaussianAR1, chapman_kolmogorov_residual,
-                            conditional_moment_residual, eigen_residual,
-                            mehler_kernel, stationarity_residual)
+                            eigen_residual, mehler_kernel,
+                            stationarity_residual)
 from qfields.measure import QGaussian, RadialLaw, cdf_table, density
 from qfields.params import (ExistsGaussian, ExistsQGaussian,
                             ExistsScaledTwoPoint, ExistsTwoPointSymmetric,
                             FieldParams, InvalidParams, Nonexistent,
                             NonexistentDegenerate, OpenLattice, classify,
-                            consistency_residuals, forecast_recurrence_check,
-                            gap_induction_residual, params_from_rho_b,
+                            consistency_residuals, params_from_rho_b,
                             params_from_rho_q)
 from qfields.quadrature import gl_nodes
 from qfields.simulate import SamplerConfig, make_sampler, sample_ensemble
+
+from paper_identities import (conditional_moment_residual,
+                              forecast_recurrence_check, gap_induction_residual)
 
 SQRT2 = math.sqrt(2.0)
 

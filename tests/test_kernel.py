@@ -6,11 +6,13 @@ import pytest
 
 from qfields import kernel, measure, qpoly
 from qfields.kernel import (GaussianAR1, ScaledTwoPointChain, TwoPointChain,
-                            chapman_kolmogorov_residual,
-                            conditional_moment_residual, eigen_residual,
+                            chapman_kolmogorov_residual, eigen_residual,
                             mehler_kernel, stationarity_residual)
 from qfields.measure import QGaussian, RadialLaw, StdGaussian, TwoPointSym
 from qfields.params import FieldParams, params_from_rho_q
+
+from paper_identities import (conditional_moment_residual, integrate_adaptive,
+                              mehler_sum)
 
 GAUSS_POINT = FieldParams(0.5, 0.16, 0.32, 0.6, 0.0)
 
@@ -163,7 +165,6 @@ class TestTransitionDensity:
             1.0 / math.sqrt(2.0 * math.pi * 0.64), abs=1e-15)
 
     def test_ar1_normalizes(self):
-        from qfields.quadrature import integrate_adaptive
         k = GaussianAR1(0.6)
         mean, sd = 0.6 * 1.2, math.sqrt(1.0 - 0.36)  # of f(. | y = 1.2)
         val, _ = integrate_adaptive(lambda x: kernel._ar1_density(k, x, 1.2),
@@ -171,13 +172,12 @@ class TestTransitionDensity:
         assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_mehler_normalizes(self):
-        from qfields.quadrature import integrate_adaptive
         k = mehler_kernel(0.5, 0.0)
         s = QGaussian(0.0)
         for y in (-1.5, 0.0, 1.5):
             val, _ = integrate_adaptive(
                 lambda th: measure.theta_weight(s, th)
-                * kernel.mehler_sum(k, measure.theta_to_x(s, th), np.array([y]))[:, 0],
+                * mehler_sum(k, measure.theta_to_x(s, th), np.array([y]))[:, 0],
                 0.0, math.pi, tol=1e-12)
             assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -186,7 +186,7 @@ class TestTransitionDensity:
         s = QGaussian(0.3)
         xs = np.linspace(-1.8, 1.8, 21)
         for y in (-1.0, 0.7):
-            f = measure.density(k.law, xs) * kernel.mehler_sum(k, xs, [y])[:, 0]
+            f = measure.density(k.law, xs) * mehler_sum(k, xs, [y])[:, 0]
             assert np.allclose(f, measure.density(s, xs), atol=1e-5)
 
     def test_clamp_recorded_at_hard_corner(self):
@@ -197,7 +197,7 @@ class TestTransitionDensity:
             k = mehler_kernel(0.8, 0.9)
         s = 2.0 / math.sqrt(0.1)
         xs = np.linspace(-s, s, 801)
-        assert np.min(measure.density(k.law, xs) * kernel.mehler_sum(k, xs, [0.95 * s])[:, 0]) < 0.0
+        assert np.min(measure.density(k.law, xs) * mehler_sum(k, xs, [0.95 * s])[:, 0]) < 0.0
         edges = np.linspace(0.0, math.pi, simulate._N_CELLS + 1)
         cells = simulate._cell_masses(k, edges)
         assert np.all(cells >= 0.0)
@@ -231,6 +231,12 @@ class TestEigenResidual:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             eigen_residual(GaussianAR1(0.5), 13, 0.0)
+        # no integer degree: a float, a bool (which NumPy would read as a mask), or a
+        # 2-d sequence
+        for k in (GaussianAR1(0.5), mehler_kernel(0.5, 0.5)):
+            for n in (2.0, 2.5, np.float64(2.0), True, [True, 1], [[1, 2]]):
+                with pytest.raises(ValueError, match="integer"):
+                    eigen_residual(k, n, 0.0)
 
 
 class TestConditionalMoments:
@@ -370,13 +376,12 @@ class TestMehlerSumOnly:
             k = mehler_kernel(rho, q)
         s = 2.0 / math.sqrt(1.0 - q)
         x, y = np.linspace(-s, s, 301), np.linspace(-s, s, 65)
-        assert np.array_equal(kernel.mehler_sum(k, x, y), _mehler_sum_joint(k, x, y))
+        assert np.array_equal(mehler_sum(k, x, y), _mehler_sum_joint(k, x, y))
 
 
 class TestTrapezoidLadder:
     @pytest.mark.parametrize("rho,q", [(0.5, 0.5), (-0.8, -0.9), (0.95, 0.9), (0.3, 0.98)])
     def test_expect_matches_gauss_legendre_oracle(self, rho, q):
-        from qfields.quadrature import integrate_adaptive
         k = mehler_kernel(rho, q)
         s = QGaussian(q)
         g = lambda x: np.vstack([np.ones_like(x), x, x * x, qpoly.qhermite_table(x, q, 3)[3]])
@@ -385,7 +390,7 @@ class TestTrapezoidLadder:
             for row, val in enumerate(got):
                 ref, _ = integrate_adaptive(
                     lambda th: g(measure.theta_to_x(s, th))[row] * measure.theta_weight(s, th)
-                    * kernel.mehler_sum(k, measure.theta_to_x(s, th), np.array([y]))[:, 0],
+                    * mehler_sum(k, measure.theta_to_x(s, th), np.array([y]))[:, 0],
                     0.0, math.pi, tol=1e-12)
                 assert val == pytest.approx(ref, abs=1e-10)
 

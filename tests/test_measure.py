@@ -7,7 +7,8 @@ from qfields import measure, qpoly
 from qfields.measure import (QGaussian, RadialLaw, ScaledTwoPoint,
                              StdGaussian, TwoPointSym, cdf_table, density,
                              moment, support)
-from qfields.quadrature import integrate_adaptive
+
+from paper_identities import integrate_adaptive
 
 
 def semicircle_cdf(x):
@@ -124,6 +125,12 @@ class TestMoment:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             moment(QGaussian(0.0), 18)
+        # no integer order: 3.0 and True would read as odd orders, 2.0 and 4.5 would
+        # reach q_brackets
+        for spec in (QGaussian(0.0), StdGaussian(), TwoPointSym()):
+            for k in (3.0, 2.0, 4.5, np.float64(4.0), True):
+                with pytest.raises(ValueError, match="integer"):
+                    moment(spec, k)
 
     def test_semicircle_catalan_exact(self):
         for k in range(0, 9):

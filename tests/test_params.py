@@ -9,11 +9,11 @@ from qfields.params import (DegenerateDenominatorError, ExistsGaussian,
                             ExistsTwoPointSymmetric, FieldParams, InvalidParams,
                             Nonexistent, NonexistentDegenerate, OpenLattice,
                             b_from_q, boundary_values, classify,
-                            consistency_residuals, derive,
-                            forecast_recurrence_check, gap_induction_residual,
-                            gap_second_moment_coeffs, params_from_rho_b,
-                            params_from_rho_q, regression_coeffs,
-                            two_sided_weights, validate)
+                            consistency_residuals, derive, params_from_rho_b,
+                            params_from_rho_q, regression_coeffs, validate)
+
+from paper_identities import (forecast_recurrence_check, gap_induction_residual,
+                              gap_second_moment_coeffs, two_sided_weights)
 
 GAUSS_POINT = FieldParams(0.5, 0.16, 0.32, 0.6, 0.0)
 
